@@ -1,11 +1,11 @@
 // M11 (§ scalability): allocator cycle cost vs problem size — how long
-// one warm allocation takes as prefixes, egress options, and worker
-// threads grow (up to the full-Internet-table 1M-prefix scale) — plus
-// the end-to-end controller cycle (allocation + BGP injection) on a
-// live PoP. scripts/bench.sh turns the BM_AllocatorCycle/<prefixes>/
-// <routes>/<threads> rows into BENCH_alloc.json's alloc_scaling curve
-// and the full_table_target verdict; docs/SCALING.md §5 documents the
-// methodology. Uses google-benchmark.
+// one warm allocation takes as prefixes and egress options grow (up to
+// the full-Internet-table 1M-prefix scale) — plus the end-to-end
+// controller cycle (allocation + BGP injection) on a live PoP.
+// scripts/bench.sh turns the BM_AllocatorCycle/<prefixes>/<routes> rows
+// into BENCH_alloc.json's alloc_scaling curve and the full_table_target
+// verdict; docs/SCALING.md §4 documents the methodology. Uses
+// google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -14,7 +14,6 @@
 
 #include "core/allocator.h"
 #include "core/controller.h"
-#include "runtime/thread_pool.h"
 #include "topology/pop.h"
 #include "workload/demand.h"
 
@@ -106,49 +105,37 @@ SyntheticEnv& cached_env(int prefixes, int routes_per, int interfaces) {
 void BM_AllocatorCycle(benchmark::State& state) {
   const int prefixes = static_cast<int>(state.range(0));
   const int routes_per = static_cast<int>(state.range(1));
-  const unsigned threads = static_cast<unsigned>(state.range(2));
   SyntheticEnv& env = cached_env(prefixes, routes_per, 40);
   core::Allocator allocator{core::AllocatorConfig{}};
   core::Allocator::Workspace workspace;
-  std::unique_ptr<runtime::ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<runtime::ThreadPool>(threads);
   const auto resolver = env.resolver();
   // One untimed cycle warms the workspace and the ranking cache: the
   // timed loop then measures the warm steady-state cycle a controller
-  // pays every ~30s. The pool is an execution resource only — decisions
-  // are bitwise identical for every thread count (ShardedAllocProperty
-  // locks that in), so rows differ only in wall-clock.
+  // pays every ~30s.
   benchmark::DoNotOptimize(allocator.allocate(
-      env.rib, env.demand, env.interfaces, resolver, workspace, pool.get()));
+      env.rib, env.demand, env.interfaces, resolver, workspace));
   for (auto _ : state) {
     auto result = allocator.allocate(env.rib, env.demand, env.interfaces,
-                                     resolver, workspace, pool.get());
+                                     resolver, workspace);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * prefixes);
   state.counters["prefixes"] = prefixes;
   state.counters["routes/prefix"] = routes_per;
-  state.counters["threads"] = threads;
 }
 BENCHMARK(BM_AllocatorCycle)
-    ->Args({500, 3, 1})
-    ->Args({2000, 3, 1})
-    ->Args({8000, 3, 1})
-    ->Args({32000, 3, 1})
-    ->Args({8000, 6, 1})
-    ->Args({8000, 12, 1})
-    // The prefix×thread scaling curve (docs/SCALING.md §3, §5): the same
-    // warm cycle at quarter- and full-Internet-table scale fanned over
-    // 1/2/4/8 workers. scripts/bench.sh derives alloc_scaling and the
-    // full_table_target verdict (1M × 3 routes ≤ 2 s) from these rows.
-    ->Args({250000, 3, 1})
-    ->Args({250000, 3, 2})
-    ->Args({250000, 3, 4})
-    ->Args({250000, 3, 8})
-    ->Args({1000000, 3, 1})
-    ->Args({1000000, 3, 2})
-    ->Args({1000000, 3, 4})
-    ->Args({1000000, 3, 8})
+    ->Args({500, 3})
+    ->Args({2000, 3})
+    ->Args({8000, 3})
+    ->Args({32000, 3})
+    ->Args({8000, 6})
+    ->Args({8000, 12})
+    // The prefix scaling curve (docs/SCALING.md §4): the same warm cycle
+    // at quarter- and full-Internet-table scale. scripts/bench.sh derives
+    // alloc_scaling and the full_table_target verdict (1M × 3 routes
+    // ≤ 2 s) from these rows.
+    ->Args({250000, 3})
+    ->Args({1000000, 3})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ControllerCycleEndToEnd(benchmark::State& state) {

@@ -366,7 +366,7 @@ BENCHMARK(BM_SeedAllocatorWarmCycle)
     ->Args({32000, 3})
     ->Args({8000, 12})
     ->Args({32000, 12})
-    // Full-Internet-table scale (docs/SCALING.md §5): the seed baseline
+    // Full-Internet-table scale (docs/SCALING.md §4): the seed baseline
     // the fast path's 1M-row speedup is measured against.
     ->Args({1000000, 3})
     ->Unit(benchmark::kMillisecond);

@@ -2,9 +2,9 @@
 # Performance records: builds Release (its own build dir, so a
 # developer's default RelWithDebInfo tree is untouched) and runs the
 # google-benchmark suites in JSON mode.
-#   BENCH_alloc.json  — bench_m11 (allocator scale + the prefix×thread
-#                       sharded-allocation scaling curve, up to the full
-#                       1M-prefix table) + bench_m13 (allocation fast
+#   BENCH_alloc.json  — bench_m11 (allocator scale + the prefix scaling
+#                       curve, up to the full 1M-prefix table) +
+#                       bench_m13 (allocation fast
 #                       path vs the seed allocator) + bench_m16
 #                       (incremental delta cycles vs full warm
 #                       recomputes across churn rates). Both comparison
@@ -35,7 +35,7 @@
 #                       seconds form the vendored google-benchmark
 #                       accepts), for the scheduled CI job that uploads
 #                       BENCH_alloc.json as an artifact. See
-#                       docs/SCALING.md §6.
+#                       docs/SCALING.md §5.
 #
 # Every bench binary's exit status is checked and its JSON output
 # validated before anything is merged: a crashed or truncated run aborts
@@ -207,9 +207,8 @@ for name, t in times.items():
             speedups[args] = round(t / fast, 2)
 merged["warm_cycle_speedup"] = speedups
 
-# Sharded-allocation scaling curve: BM_AllocatorCycle/<prefixes>/<routes>/
-# <threads> rows become {prefixes: {threads: warm-cycle ms}}. threads=1
-# is the serial baseline (no pool); speedup_vs_serial is derived per row.
+# Allocator scaling curve: BM_AllocatorCycle/<prefixes>/<routes> rows
+# become {prefixes: {routes, warm_cycle_ms}}.
 scaling = {}
 for b in merged["benchmarks"]:
     if b.get("run_type", "iteration") != "iteration":
@@ -217,28 +216,21 @@ for b in merged["benchmarks"]:
     if not b["name"].startswith("BM_AllocatorCycle/"):
         continue
     parts = b["name"].split("/")
-    if len(parts) < 4:
+    if len(parts) < 3:
         continue
-    prefixes, routes, threads = parts[1], parts[2], parts[3]
-    scaling.setdefault(prefixes, {})[threads] = {
-        "routes": int(routes),
+    scaling[parts[1]] = {
+        "routes": int(parts[2]),
         "warm_cycle_ms": round(to_ms(b), 3),
     }
-for prefixes, by_threads in scaling.items():
-    serial = by_threads.get("1")
-    if not serial:
-        continue
-    for threads, row in by_threads.items():
-        row["speedup_vs_serial"] = round(
-            serial["warm_cycle_ms"] / row["warm_cycle_ms"], 2)
 merged["alloc_scaling"] = scaling
 
 # The full-table acceptance target: 1M prefixes x >=3 routes, warm cycle
-# at or under 2 s (docs/SCALING.md §5).
+# at or under 2 s (docs/SCALING.md §4). best_warm_cycle_ms keeps its
+# name so scripts/check_bench_regression.py still compares it.
 target = {"prefixes": 1000000, "routes": 3, "target_ms": 2000.0}
-million = scaling.get("1000000", {})
+million = scaling.get("1000000")
 if million:
-    best = min(row["warm_cycle_ms"] for row in million.values())
+    best = million["warm_cycle_ms"]
     target["best_warm_cycle_ms"] = best
     target["met"] = best <= target["target_ms"]
 merged["full_table_target"] = target
@@ -335,9 +327,8 @@ with open("BENCH_alloc.json", "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
 print("BENCH_alloc.json written; warm-cycle speedups:", speedups)
-print("alloc scaling (prefixes -> threads -> ms):",
-      {p: {t: row["warm_cycle_ms"] for t, row in rows.items()}
-       for p, rows in scaling.items()})
+print("alloc scaling (prefixes -> ms):",
+      {p: row["warm_cycle_ms"] for p, row in scaling.items()})
 if "met" in target:
     print("full-table target (1M x 3 routes <= 2000 ms):",
           "MET" if target["met"] else "MISSED",

@@ -65,14 +65,12 @@ class Rib {
   };
   RankedView ranked_view(const net::Prefix& prefix) const;
 
-  /// ranked_view() minus the shared hit/miss accounting, for the sharded
-  /// allocator's parallel arena rebuild. Concurrent calls are safe iff no
-  /// two threads touch the SAME prefix (each entry's ranking cache is
-  /// per-prefix state; the shared counters are the only cross-prefix
-  /// mutable state and this variant leaves them alone) and nothing
-  /// mutates the Rib meanwhile. `cache_hit` reports whether the ranking
-  /// was served from cache; callers tally per shard and settle the
-  /// books once via credit_rank_cache().
+  /// ranked_view() minus the shared hit/miss accounting, for callers
+  /// that rank many prefixes in one pass: the allocator's full arena
+  /// rebuild and its incremental reclassify loop. `cache_hit` reports
+  /// whether the ranking was served from cache; the caller tallies the
+  /// pass locally and credits the counters once via credit_rank_cache().
+  /// Same cache and lifetime rules as ranked_cached().
   RankedView ranked_view_uncounted(const net::Prefix& prefix,
                                    bool& cache_hit) const;
 
@@ -134,9 +132,8 @@ class Rib {
   void credit_rank_cache_hits(std::uint64_t n) const { rank_stats_.hits += n; }
 
   /// Settles the books after a batch of ranked_view_uncounted() calls:
-  /// the sharded rebuild tallies hits/misses per shard off to the side
-  /// and credits them here once, post-barrier, so the shared counters
-  /// are never touched concurrently.
+  /// the allocator's full and incremental paths tally hits/misses over
+  /// the whole pass and credit them here in bulk, once per cycle.
   void credit_rank_cache(std::uint64_t hits, std::uint64_t misses) const {
     rank_stats_.hits += hits;
     rank_stats_.misses += misses;

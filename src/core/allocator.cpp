@@ -116,7 +116,7 @@ void score_sort_place(const AllocatorConfig& config,
                       const std::vector<net::Bandwidth>& usable,
                       std::vector<net::Bandwidth>& final_load, bool rescore,
                       std::vector<CohortOrder>& key_scratch,
-                      runtime::ThreadPool* pool, AllocationResult& result) {
+                      AllocationResult& result) {
   if (key_scratch.size() < overloaded.size()) {
     key_scratch.resize(overloaded.size());
   }
@@ -204,7 +204,7 @@ void score_sort_place(const AllocatorConfig& config,
 
   constexpr std::size_t kFirstBatch = 128;
 
-  const auto order_cohort = [&](std::size_t oi) {
+  for (std::size_t oi = 0; oi < overloaded.size(); ++oi) {
     const std::size_t iface = overloaded[oi];
     auto& pinned_prefixes = pinned_by_iface[iface];
     const std::size_t size = pinned_prefixes.size();
@@ -223,15 +223,8 @@ void score_sort_place(const AllocatorConfig& config,
     // starts with a small batch and lets placement escalate.
     if (est_consumed(iface) * 8.0 >= static_cast<double>(size)) {
       order_all(iface, co);
-      return;
-    }
-    order_topk(iface, co, std::min(size, kFirstBatch));
-  };
-  if (pool != nullptr && overloaded.size() > 1) {
-    pool->parallel_for(overloaded.size(), order_cohort);
-  } else {
-    for (std::size_t oi = 0; oi < overloaded.size(); ++oi) {
-      order_cohort(oi);
+    } else {
+      order_topk(iface, co, std::min(size, kFirstBatch));
     }
   }
 
@@ -421,25 +414,9 @@ struct Allocator::Workspace::Impl {
   std::vector<EgressSlot> slots;
   std::unordered_map<net::IpAddr, std::uint32_t> slot_of;
 
-  /// Per-chunk scratch for the sharded (parallel) arena rebuild: each
-  /// worker fills its own arena segment, NEXT_HOP first-appearance list,
-  /// and ranking-cache tallies; the merge concatenates segments in chunk
-  /// order (order-preserving, so the combined arena is byte-for-byte the
-  /// serial one) and settles the slot table and cache counters serially.
-  /// Persisted so warm parallel rebuilds reuse the vectors' capacity.
-  struct RebuildChunk {
-    std::vector<const bgp::Route*> alternates;
-    std::vector<const bgp::Route*> hop_order;  // first route per new hop
-    std::unordered_map<net::IpAddr, const bgp::Route*> hop_seen;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::size_t arena_offset = 0;
-  };
-  std::vector<RebuildChunk> chunks;
-
   /// Dense indices of the interfaces phase 2 found overloaded, in
-  /// ascending order — the iteration order of both the (parallelizable)
-  /// score/sort pass and the (serial) placement pass.
+  /// ascending order — the iteration order of both the score/sort pass
+  /// and the placement pass.
   std::vector<std::uint32_t> overloaded;
 
   /// Per-overloaded-cohort detour-key scratch (parallel to `overloaded`),
@@ -464,12 +441,8 @@ AllocationResult Allocator::allocate(
 AllocationResult Allocator::allocate(
     const bgp::Rib& rib, const telemetry::DemandMatrix& demand,
     const telemetry::InterfaceRegistry& interfaces,
-    const EgressResolver& resolve, Workspace& workspace,
-    runtime::ThreadPool* pool) const {
+    const EgressResolver& resolve, Workspace& workspace) const {
   Workspace::Impl& ws = *workspace.impl_;
-  // A one-worker pool has nothing to shard; fold it into the serial path
-  // so the parallel branches below can assume at least two workers.
-  if (pool != nullptr && pool->size() <= 1) pool = nullptr;
   const std::size_t iface_count = interfaces.size();
   AllocationResult result;
 
@@ -479,7 +452,7 @@ AllocationResult Allocator::allocate(
   ws.final_load.assign(iface_count, net::Bandwidth::zero());
   ws.usable.resize(iface_count);
   if (ws.pinned.size() != iface_count) ws.pinned.resize(iface_count);
-  for (auto& pool : ws.pinned) pool.clear();
+  for (auto& cohort : ws.pinned) cohort.clear();
   for (std::size_t i = 0; i < iface_count; ++i) {
     ws.usable[i] = interfaces.usable_capacity(interfaces.id_at(i));
   }
@@ -590,130 +563,35 @@ AllocationResult Allocator::allocate(
     ws.filt_begin.resize(demand_count);
     ws.filt_count.resize(demand_count);
 
-    // Chunking: only worth it when each worker gets a real slice of
-    // prefixes; tiny tables stay on the serial path below.
-    constexpr std::size_t kMinChunk = 1024;
-    std::size_t chunk_count = 1;
-    if (pool != nullptr && demand_count >= 2 * kMinChunk) {
-      chunk_count = std::min<std::size_t>(
-          static_cast<std::size_t>(pool->size()) * 4,
-          demand_count / kMinChunk);
+    ws.alternates.clear();
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    for (std::size_t i = 0; i < demand_count; ++i) {
+      bool cache_hit = false;
+      const bgp::Rib::RankedView view =
+          rib.ranked_view_uncounted(ws.demand_sorted[i].first, cache_hit);
+      // Tally hit/miss only for prefixes the RIB knows (matching
+      // ranked_view(): an unknown prefix consults no cache).
+      if (!view.routes.empty()) (cache_hit ? hits : misses) += 1;
+      // Controller-injected routes are dropped after ranking; that is
+      // safe because the relative order of natural routes does not
+      // depend on the injected ones. Filtering depends only on the
+      // routes, so the slices stay valid exactly as long as the views.
+      const std::size_t mark = ws.alternates.size();
+      for (std::size_t index : view.order) {
+        const bgp::Route& route = view.routes[index];
+        if (route.peer_type != bgp::PeerType::kController) {
+          ws.alternates.push_back(&route);
+        }
+      }
+      ws.filt_begin[i] = static_cast<std::uint32_t>(mark);
+      ws.filt_count[i] =
+          static_cast<std::uint32_t>(ws.alternates.size() - mark);
     }
-
-    if (chunk_count <= 1) {
-      ws.alternates.clear();
-      std::uint64_t hits = 0;
-      std::uint64_t misses = 0;
-      for (std::size_t i = 0; i < demand_count; ++i) {
-        bool cache_hit = false;
-        const bgp::Rib::RankedView view =
-            rib.ranked_view_uncounted(ws.demand_sorted[i].first, cache_hit);
-        // Tally hit/miss only for prefixes the RIB knows (matching
-        // ranked_view(): an unknown prefix consults no cache).
-        if (!view.routes.empty()) (cache_hit ? hits : misses) += 1;
-        // Controller-injected routes are dropped after ranking; that is
-        // safe because the relative order of natural routes does not
-        // depend on the injected ones. Filtering depends only on the
-        // routes, so the slices stay valid exactly as long as the views.
-        const std::size_t mark = ws.alternates.size();
-        for (std::size_t index : view.order) {
-          const bgp::Route& route = view.routes[index];
-          if (route.peer_type != bgp::PeerType::kController) {
-            ws.alternates.push_back(&route);
-          }
-        }
-        ws.filt_begin[i] = static_cast<std::uint32_t>(mark);
-        ws.filt_count[i] =
-            static_cast<std::uint32_t>(ws.alternates.size() - mark);
-      }
-      rib.credit_rank_cache(hits, misses);
-      ws.alt_slot.resize(ws.alternates.size());
-      for (std::size_t k = 0; k < ws.alternates.size(); ++k) {
-        ws.alt_slot[k] = resolve_slot(*ws.alternates[k]);
-      }
-    } else {
-      // Sharded rebuild: each chunk ranks and filters a contiguous
-      // demand range into its own arena segment. Disjoint prefixes mean
-      // disjoint per-prefix ranking caches, so ranked_view_uncounted()
-      // is safe to call concurrently; the shared hit/miss counters are
-      // tallied per chunk and credited once after the barrier.
-      const std::size_t per_chunk =
-          (demand_count + chunk_count - 1) / chunk_count;
-      ws.chunks.resize(chunk_count);
-      pool->parallel_for(chunk_count, [&](std::size_t c) {
-        Workspace::Impl::RebuildChunk& chunk = ws.chunks[c];
-        chunk.alternates.clear();
-        chunk.hop_order.clear();
-        chunk.hop_seen.clear();
-        chunk.hits = 0;
-        chunk.misses = 0;
-        const std::size_t lo = c * per_chunk;
-        const std::size_t hi = std::min(demand_count, lo + per_chunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          bool cache_hit = false;
-          const bgp::Rib::RankedView view =
-              rib.ranked_view_uncounted(ws.demand_sorted[i].first, cache_hit);
-          if (!view.routes.empty()) (cache_hit ? chunk.hits : chunk.misses) += 1;
-          const std::size_t mark = chunk.alternates.size();
-          for (std::size_t index : view.order) {
-            const bgp::Route& route = view.routes[index];
-            if (route.peer_type != bgp::PeerType::kController) {
-              chunk.alternates.push_back(&route);
-              if (chunk.hop_seen.try_emplace(route.attrs.next_hop, &route)
-                      .second) {
-                chunk.hop_order.push_back(&route);
-              }
-            }
-          }
-          ws.filt_count[i] =
-              static_cast<std::uint32_t>(chunk.alternates.size() - mark);
-        }
-      });
-
-      // Merge, order-preserving: chunk segments concatenate in chunk
-      // order, so the arena (and every filt_begin slice) is exactly what
-      // the serial loop above would have produced.
-      std::size_t total = 0;
-      for (Workspace::Impl::RebuildChunk& chunk : ws.chunks) {
-        chunk.arena_offset = total;
-        total += chunk.alternates.size();
-      }
-      std::uint32_t running = 0;
-      for (std::size_t i = 0; i < demand_count; ++i) {
-        ws.filt_begin[i] = running;
-        running += ws.filt_count[i];
-      }
-      ws.alternates.resize(total);
-      pool->parallel_for(chunk_count, [&](std::size_t c) {
-        const Workspace::Impl::RebuildChunk& chunk = ws.chunks[c];
-        std::copy(chunk.alternates.begin(), chunk.alternates.end(),
-                  ws.alternates.begin() +
-                      static_cast<std::ptrdiff_t>(chunk.arena_offset));
-      });
-
-      // Slot table, serial: walking the chunks' first-appearance lists
-      // in chunk order visits each distinct NEXT_HOP in exactly its
-      // first arena appearance order, so slot ids, exemplars, and the
-      // one-resolve-per-hop contract all match the serial rebuild.
-      std::uint64_t hits = 0;
-      std::uint64_t misses = 0;
-      for (const Workspace::Impl::RebuildChunk& chunk : ws.chunks) {
-        hits += chunk.hits;
-        misses += chunk.misses;
-        for (const bgp::Route* exemplar : chunk.hop_order) {
-          resolve_slot(*exemplar);
-        }
-      }
-      rib.credit_rank_cache(hits, misses);
-      ws.alt_slot.resize(total);
-      pool->parallel_for(chunk_count, [&](std::size_t c) {
-        const Workspace::Impl::RebuildChunk& chunk = ws.chunks[c];
-        for (std::size_t k = 0; k < chunk.alternates.size(); ++k) {
-          // Lookup-only probes of the (now frozen) slot table.
-          ws.alt_slot[chunk.arena_offset + k] =
-              ws.slot_of.find(chunk.alternates[k]->attrs.next_hop)->second;
-        }
-      });
+    rib.credit_rank_cache(hits, misses);
+    ws.alt_slot.resize(ws.alternates.size());
+    for (std::size_t k = 0; k < ws.alternates.size(); ++k) {
+      ws.alt_slot[k] = resolve_slot(*ws.alternates[k]);
     }
     ws.rib_instance = rib.instance_id();
     ws.rib_epoch = rib.epoch();
@@ -726,58 +604,33 @@ AllocationResult Allocator::allocate(
     }
   }
 
-  // Sharded projection: each shard owns a contiguous block of dense
-  // interface indices and walks the WHOLE demand array in ascending
-  // prefix order, pinning only the prefixes whose BGP-preferred egress
-  // it owns. Every interface's `projected +=` therefore runs in exactly
-  // the serial prefix order regardless of shard count — float
-  // accumulation stays order-identical, which is what keeps the sharded
-  // allocation bitwise equal to the serial one. Shard 0 additionally
-  // owns the unroutable accumulator (again in prefix order). The scan
-  // itself (slice + slot lookups) is the redundant part; it is cheap
-  // and read-only, which is the price of a merge-free phase 1.
-  const std::size_t shard_count =
-      (pool != nullptr && iface_count > 1)
-          ? std::min<std::size_t>(pool->size(), iface_count)
-          : 1;
-  const auto project_shard = [&](std::size_t shard) {
-    const std::size_t iface_lo = shard * iface_count / shard_count;
-    const std::size_t iface_hi = (shard + 1) * iface_count / shard_count;
-    const bool owns_unroutable = shard == 0;
-    for (std::size_t di = 0; di < ws.demand_sorted.size(); ++di) {
-      const auto& [prefix, rate] = ws.demand_sorted[di];
-      if (rate <= net::Bandwidth::zero()) continue;
+  for (std::size_t di = 0; di < ws.demand_sorted.size(); ++di) {
+    const auto& [prefix, rate] = ws.demand_sorted[di];
+    if (rate <= net::Bandwidth::zero()) continue;
 
-      // The prefix's ranked, controller-filtered candidates, precomputed
-      // into the arena (above or in an earlier cycle): best route first,
-      // egress already resolved per slice element.
-      const std::uint32_t begin = ws.filt_begin[di];
-      const std::uint32_t count = ws.filt_count[di];
-      if (count == 0) {
-        if (owns_unroutable) result.unroutable += rate;
-        continue;
-      }
-      const EgressSlot& slot = ws.slots[ws.alt_slot[begin]];
-      if (!slot.usable_iface) {
-        if (owns_unroutable) result.unroutable += rate;
-        continue;
-      }
-      if (slot.iface < iface_lo || slot.iface >= iface_hi) continue;
-
-      PinnedPrefix pinned;
-      pinned.prefix = prefix;
-      pinned.rate = rate;
-      pinned.best = ws.alternates[begin];
-      pinned.alt_begin = begin + 1;
-      pinned.alt_count = count - 1;
-      ws.projected[slot.iface] += rate;
-      ws.pinned[slot.iface].push_back(pinned);
+    // The prefix's ranked, controller-filtered candidates, precomputed
+    // into the arena (above or in an earlier cycle): best route first,
+    // egress already resolved per slice element.
+    const std::uint32_t begin = ws.filt_begin[di];
+    const std::uint32_t count = ws.filt_count[di];
+    if (count == 0) {
+      result.unroutable += rate;
+      continue;
     }
-  };
-  if (shard_count > 1) {
-    pool->parallel_for(shard_count, project_shard);
-  } else {
-    project_shard(0);
+    const EgressSlot& slot = ws.slots[ws.alt_slot[begin]];
+    if (!slot.usable_iface) {
+      result.unroutable += rate;
+      continue;
+    }
+
+    PinnedPrefix pinned;
+    pinned.prefix = prefix;
+    pinned.rate = rate;
+    pinned.best = ws.alternates[begin];
+    pinned.alt_begin = begin + 1;
+    pinned.alt_count = count - 1;
+    ws.projected[slot.iface] += rate;
+    ws.pinned[slot.iface].push_back(pinned);
   }
 
   ws.final_load = ws.projected;
@@ -786,13 +639,13 @@ AllocationResult Allocator::allocate(
   // Three passes. Detection and placement walk interfaces in ascending
   // dense index == ascending InterfaceId — the same order the seed's
   // std::map produced, so detour placement (and therefore float
-  // accumulation) is unchanged. Scoring/sorting sits between them and
-  // fans out across the pool: it reads only the (frozen) slot table and
-  // writes only its own interface's pinned list, and the detection
-  // predicate reads only projected/usable — which placement never
-  // mutates — so hoisting both out of the placement loop changes no
-  // decision (placement-order-dependent state, final_load, is consulted
-  // only inside the serial placement pass).
+  // accumulation) is unchanged. Scoring/sorting sits between them: it
+  // reads only the (frozen) slot table and writes only its own
+  // interface's pinned list, and the detection predicate reads only
+  // projected/usable — which placement never mutates — so hoisting both
+  // out of the placement loop changes no decision (placement-order-
+  // dependent state, final_load, is consulted only inside the placement
+  // pass).
   ws.overloaded.clear();
   for (std::size_t iface = 0; iface < iface_count; ++iface) {
     if (ws.pinned[iface].empty()) continue;  // nothing landed here
@@ -806,7 +659,7 @@ AllocationResult Allocator::allocate(
 
   score_sort_place(config_, interfaces, ws.alternates, ws.alt_slot, ws.slots,
                    ws.overloaded, ws.pinned, ws.usable, ws.final_load,
-                   /*rescore=*/true, ws.key_scratch, pool, result);
+                   /*rescore=*/true, ws.key_scratch, result);
   emit_loads(interfaces, ws.projected, ws.final_load, result);
   return result;
 }
@@ -896,8 +749,7 @@ AllocationResult Allocator::allocate_incremental(
     const bgp::Rib& rib, const telemetry::DemandMatrix& demand,
     const telemetry::InterfaceRegistry& interfaces,
     const EgressResolver& resolve, Workspace& workspace, Ledger& ledger,
-    double dirty_ceiling, IncrementalOutcome* outcome,
-    runtime::ThreadPool* pool) const {
+    double dirty_ceiling, IncrementalOutcome* outcome) const {
   Ledger::Impl& lg = *ledger.impl_;
   Workspace::Impl& ws = *workspace.impl_;
   IncrementalOutcome local;
@@ -914,7 +766,7 @@ AllocationResult Allocator::allocate_incremental(
     out.incremental = false;
     out.full_fallback = true;
     AllocationResult result =
-        allocate(rib, demand, interfaces, resolve, workspace, pool);
+        allocate(rib, demand, interfaces, resolve, workspace);
 
     lg.config = config_;
     lg.rib_instance = rib.instance_id();
@@ -1281,8 +1133,7 @@ AllocationResult Allocator::allocate_incremental(
   // ledger above.
   score_sort_place(config_, interfaces, lg.alternates, lg.alt_slot, lg.slots,
                    ws.overloaded, lg.cohorts, ws.usable, ws.final_load,
-                   /*rescore=*/false, ws.key_scratch, /*pool=*/nullptr,
-                   result);
+                   /*rescore=*/false, ws.key_scratch, result);
   emit_loads(interfaces, ws.projected, ws.final_load, result);
   return result;
 }

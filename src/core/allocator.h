@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bgp/rib.h"
-#include "runtime/thread_pool.h"
 #include "telemetry/interface.h"
 #include "telemetry/traffic.h"
 
@@ -171,23 +170,11 @@ class Allocator {
   /// call), so it must be a pure function of the route's NEXT_HOP while
   /// allocate() runs — true of every forwarding-plane resolver, which
   /// mirrors what the routers do with the next hop.
-  /// `pool`, when non-null, shards the cycle across the pool's workers:
-  /// the arena rebuild is chunked by demand range, phase 1 is sharded by
-  /// egress-interface ownership, and phase 2's per-interface scoring and
-  /// sorting fan out (detour placement stays serial — it is a float
-  /// accumulation and therefore order-defined). The pool is an execution
-  /// resource, never a decision input: the result is bitwise identical
-  /// to the serial one for any pool size, because every interface's
-  /// load accumulation runs in exactly the serial prefix order on
-  /// whichever worker owns that interface (the ShardedAllocProperty
-  /// test locks this in). `resolve` is still invoked at most once per
-  /// distinct NEXT_HOP, always from the calling thread.
   AllocationResult allocate(const bgp::Rib& rib,
                             const telemetry::DemandMatrix& demand,
                             const telemetry::InterfaceRegistry& interfaces,
                             const EgressResolver& resolve,
-                            Workspace& workspace,
-                            runtime::ThreadPool* pool = nullptr) const;
+                            Workspace& workspace) const;
 
   /// Convenience overload with a throwaway workspace (cold path); the
   /// decisions are identical to the warm overload above.
@@ -215,13 +202,11 @@ class Allocator {
   /// regresses below the full path. Unlike allocate(), `resolve` may be
   /// invoked more than once per distinct NEXT_HOP in a fallback cycle
   /// (still at most twice); it must stay pure for the call's duration.
-  /// `pool` is used only by the fallback full recompute.
   AllocationResult allocate_incremental(
       const bgp::Rib& rib, const telemetry::DemandMatrix& demand,
       const telemetry::InterfaceRegistry& interfaces,
       const EgressResolver& resolve, Workspace& workspace, Ledger& ledger,
-      double dirty_ceiling, IncrementalOutcome* outcome = nullptr,
-      runtime::ThreadPool* pool = nullptr) const;
+      double dirty_ceiling, IncrementalOutcome* outcome = nullptr) const;
 
   const AllocatorConfig& config() const { return config_; }
 

@@ -23,10 +23,6 @@ Controller::Controller(topology::Pop& pop, ControllerConfig config)
     : pop_(&pop),
       config_(config),
       allocator_(config.allocator),
-      alloc_pool_(config.alloc_threads == 1
-                      ? nullptr
-                      : std::make_unique<runtime::ThreadPool>(
-                            config.alloc_threads)),
       safety_(config.safety),
       speaker_(controller_speaker_config(pop)) {}
 
@@ -91,15 +87,14 @@ CycleStats Controller::run_cycle(const telemetry::DemandMatrix& demand,
     Allocator::IncrementalOutcome outcome;
     stats.allocation = allocator_.allocate_incremental(
         rib, demand, pop_->interfaces(), resolver, workspace_, ledger_,
-        config_.incremental_dirty_ceiling, &outcome, alloc_pool_.get());
+        config_.incremental_dirty_ceiling, &outcome);
     stats.incremental_cycle = outcome.incremental;
     stats.dirty_prefixes = outcome.dirty_prefixes;
     stats.escalations = outcome.escalations;
     stats.full_fallbacks = outcome.full_fallback ? 1 : 0;
   } else {
     stats.allocation = allocator_.allocate(rib, demand, pop_->interfaces(),
-                                           resolver, workspace_,
-                                           alloc_pool_.get());
+                                           resolver, workspace_);
   }
   stats.allocation_wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - wall_start);

@@ -71,22 +71,14 @@ struct ControllerConfig {
   /// instead of enforced, because a controller that can no longer keep
   /// up is acting on data older than it thinks. 0 disables the watchdog.
   std::chrono::nanoseconds cycle_budget{0};
-  /// Worker threads for the sharded allocation cycle: 1 = serial (the
-  /// default; no pool is created), 0 = one worker per hardware thread,
-  /// N = exactly N workers (clamped to ThreadPool::kMaxThreads). An
-  /// execution knob, never a decision input — allocations are bitwise
-  /// identical for every value — and deliberately NOT part of
-  /// AllocatorConfig, which is serialized into the audit wire format
-  /// (docs/SCALING.md §3 explains how to size it).
-  unsigned alloc_threads = 1;
   /// Incremental (delta) allocation: carry the previous cycle's
   /// classification in a ledger and re-rank/re-project only the prefixes
   /// the RIB and demand change logs report dirty. Bitwise identical to
   /// the full recompute every cycle (the allocator falls back to a full
-  /// pass whenever it cannot prove that), so — like alloc_threads — this
-  /// is an execution knob, never a decision input, and deliberately NOT
-  /// part of AllocatorConfig (which is serialized into the audit wire
-  /// format). See docs/SCALING.md §8 and DESIGN.md §15.
+  /// pass whenever it cannot prove that), so this is an execution knob,
+  /// never a decision input, and deliberately NOT part of
+  /// AllocatorConfig (which is serialized into the audit wire format).
+  /// See docs/SCALING.md §7 and DESIGN.md §15.
   bool incremental = false;
   /// Dirty-fraction ceiling for the incremental path: when more than
   /// this fraction of tracked prefixes is dirty, a full recompute is
@@ -251,10 +243,6 @@ class Controller {
   topology::Pop* pop_;
   ControllerConfig config_;
   Allocator allocator_;
-  /// Sharded-allocation pool, created only when alloc_threads != 1.
-  /// Workers idle between cycles; the pool never outlives the
-  /// controller, so no cycle work can run against a dead `this`.
-  std::unique_ptr<runtime::ThreadPool> alloc_pool_;
   /// Persistent fast-path scratch: reused every cycle so warm cycles do
   /// not re-allocate; never carries decision state (see Allocator).
   Allocator::Workspace workspace_;

@@ -1108,12 +1108,6 @@ std::string EfdService::render_metrics() const {
      << "efd_bmp_decode_batches_total " << snap.bmp_decode_batches << "\n"
      << "efd_bmp_decode_threads "
      << (decode_pool_ ? decode_pool_->size() : 0) << "\n"
-     << "efd_alloc_threads "
-     << (config_.controller.alloc_threads == 1
-             ? 1u
-             : runtime::ThreadPool::resolve_threads(
-                   config_.controller.alloc_threads))
-     << "\n"
      << "efd_sflow_datagrams_total " << snap.sflow_datagrams << "\n"
      << "efd_sflow_records_total " << snap.sflow_records << "\n"
      << "efd_sflow_bytes_total " << snap.sflow_bytes << "\n"

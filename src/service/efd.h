@@ -142,7 +142,7 @@ struct EfdConfig {
   /// session in flight, so per-router apply order is preserved), and the
   /// decoded messages are posted back to the loop thread, which remains
   /// the only writer of the RIB. Sessions decode concurrently with each
-  /// other and with allocation cycles. docs/SCALING.md §4 covers sizing.
+  /// other and with allocation cycles. docs/SCALING.md §3 covers sizing.
   unsigned decode_threads = 0;
 };
 

@@ -141,8 +141,7 @@ TEST(LiveIngest, SampledFeedReachesIdenticalDecisions) {
 }
 
 // The decode pipeline (decode_threads > 0) moves BMP wire decoding onto
-// a worker pool and the sharded allocator (alloc_threads > 1) fans the
-// cycle out; both are execution knobs, so every digest must stay
+// a worker pool; it is an execution knob, so every digest must stay
 // bitwise identical to the serial in-process controller's decisions.
 // Runs under the TSan gate like the rest of LiveIngest — the pipeline's
 // cross-thread handoff (copied batches out, posted completions back,
@@ -159,7 +158,6 @@ TEST(LiveIngest, ParallelDecodeMatchesSerialDecisionsAndLeaksNoFds) {
 
     service::EfdConfig dcfg = daemon_config(config);
     dcfg.decode_threads = 4;
-    dcfg.controller.alloc_threads = 2;
     service::EfdService daemon(pop, dcfg);
     daemon.start();
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ef::net {
 namespace {
 
@@ -35,6 +37,12 @@ struct MalformedCase {
   const char* text;
 };
 
+// Without a printer gtest shows a case as the bytes of its pointer, which
+// moves from run to run under ASLR; ctest names the case after that value.
+void PrintTo(const MalformedCase& c, std::ostream* os) {
+  *os << '"' << c.text << '"';
+}
+
 class MalformedAddressTest : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(MalformedAddressTest, Rejected) {
@@ -58,6 +66,11 @@ struct V6RoundTrip {
   const char* in;
   const char* canonical;
 };
+
+// Names the case by its input alone: the canonical form is what is checked.
+void PrintTo(const V6RoundTrip& c, std::ostream* os) {
+  *os << '"' << c.in << '"';
+}
 
 class V6FormatTest : public ::testing::TestWithParam<V6RoundTrip> {};
 

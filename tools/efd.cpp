@@ -21,11 +21,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 
 #include "core/controller.h"
+#include "flags.h"
 #include "net/units.h"
 #include "service/efd.h"
 #include "topology/pop.h"
@@ -42,30 +41,27 @@ using namespace ef;
   std::exit(2);
 }
 
-struct Args {
-  std::map<std::string, std::string> options;
-
-  bool has(const std::string& key) const { return options.contains(key); }
+struct Args : tools::FlagMap {
   long num(const std::string& key, long fallback) const {
-    auto it = options.find(key);
-    if (it == options.end()) return fallback;
+    const std::string* raw = find(key);
+    if (raw == nullptr) return fallback;
     try {
       std::size_t consumed = 0;
-      const long value = std::stol(it->second, &consumed);
-      if (consumed != it->second.size()) die_bad_value(key, it->second);
+      const long value = std::stol(*raw, &consumed);
+      if (consumed != raw->size()) die_bad_value(key, *raw);
       return value;
     } catch (const std::exception&) {
-      die_bad_value(key, it->second);
+      die_bad_value(key, *raw);
     }
   }
   /// Strict finite double: junk, trailing characters, inf, nan exit 2.
   double real(const std::string& key, double fallback) const {
-    auto it = options.find(key);
-    if (it == options.end()) return fallback;
+    const std::string* raw = find(key);
+    if (raw == nullptr) return fallback;
     char* end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0' || !std::isfinite(value)) {
-      die_bad_value(key, it->second);
+    const double value = std::strtod(raw->c_str(), &end);
+    if (end == raw->c_str() || *end != '\0' || !std::isfinite(value)) {
+      die_bad_value(key, *raw);
     }
     return value;
   }
@@ -76,18 +72,16 @@ int usage() {
                "usage: efd [--clients N] [--pops N] [--seed S] [--pop K]\n"
                "           [--bmp PORT] [--sflow PORT] [--http PORT]\n"
                "           [--inject] [--real-time] [--cycle-secs S]\n"
-               "           [--sample-rate N] [--threads N]\n"
-               "           [--decode-threads N] [--incremental[=FRAC]]\n"
+               "           [--sample-rate N] [--decode-threads N]\n"
+               "           [--incremental[=FRAC]]\n"
                "           [--dataplane] [--dp-queue-ms MS] [--dp-slots N]\n"
                "           [--dp-elephant-frac F]\n"
                "           [--audit] [--audit-interval N]\n"
                "           [--audit-max-repairs N]\n"
                "           [--recovery-file FILE] [--recover]\n"
                "  (port 0 = pick an ephemeral port and print it)\n"
-               "  --threads: allocation-cycle workers (1 = serial,\n"
-               "  0 = one per hardware thread); decisions are identical\n"
-               "  for every value. --decode-threads: BMP decode workers\n"
-               "  (0 = decode inline on the event loop).\n"
+               "  --decode-threads: BMP decode workers (0 = decode inline\n"
+               "  on the event loop).\n"
                "  --incremental: delta allocation cycles; FRAC is the\n"
                "  dirty-fraction fallback ceiling in [0,1] (decisions\n"
                "  stay bitwise identical to full recomputes). See\n"
@@ -109,7 +103,7 @@ int usage() {
 
 std::uint16_t port_arg(const Args& args, const std::string& key) {
   const long port = args.num(key, 0);
-  if (port < 0 || port > 65535) die_bad_value(key, args.options.at(key));
+  if (port < 0 || port > 65535) die_bad_value(key, args.get(key, ""));
   return static_cast<std::uint16_t>(port);
 }
 
@@ -124,17 +118,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "efd: unexpected operand '%s'\n", key.c_str());
       return usage();
     }
-    key = key.substr(2);
-    // --key=value form (empty values fail strict validation loudly).
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      args.options[key.substr(0, eq)] = key.substr(eq + 1);
-      continue;
-    }
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[key] = argv[++i];
-    } else {
-      args.options[key] = "1";
-    }
+    i = args.parse(argc, argv, i);
   }
 
   // Block the shutdown signals before any thread exists so the event
@@ -170,21 +154,15 @@ int main(int argc, char** argv) {
   config.sflow_sample_rate =
       static_cast<std::uint32_t>(args.num("sample-rate", 10));
   config.real_time_cycles = args.has("real-time");
-  const long alloc_threads = args.num("threads", 1);
-  if (alloc_threads < 0 ||
-      alloc_threads > static_cast<long>(runtime::ThreadPool::kMaxThreads)) {
-    die_bad_value("threads", args.options.at("threads"));
-  }
-  config.controller.alloc_threads = static_cast<unsigned>(alloc_threads);
   const long decode_threads = args.num("decode-threads", 0);
   if (decode_threads < 0 ||
       decode_threads > static_cast<long>(runtime::ThreadPool::kMaxThreads)) {
-    die_bad_value("decode-threads", args.options.at("decode-threads"));
+    die_bad_value("decode-threads", args.get("decode-threads", ""));
   }
   config.decode_threads = static_cast<unsigned>(decode_threads);
   if (args.has("incremental")) {
     config.controller.incremental = true;
-    const std::string& raw = args.options.at("incremental");
+    const std::string raw = args.get("incremental", "1");
     if (raw != "1") {  // a bare flag keeps the default ceiling
       char* end = nullptr;
       const double frac = std::strtod(raw.c_str(), &end);
@@ -199,16 +177,16 @@ int main(int argc, char** argv) {
   // typo'd value should fail loudly, not silently arm nothing.
   config.dataplane.enabled = args.has("dataplane");
   const double queue_ms = args.real("dp-queue-ms", 50.0);
-  if (queue_ms < 0.0) die_bad_value("dp-queue-ms", args.options.at("dp-queue-ms"));
+  if (queue_ms < 0.0) die_bad_value("dp-queue-ms", args.get("dp-queue-ms", ""));
   config.dataplane.queue_depth_ms = queue_ms;
   const long dp_slots = args.num("dp-slots", 16);
   if (dp_slots < 1 || dp_slots > 4096) {
-    die_bad_value("dp-slots", args.options.at("dp-slots"));
+    die_bad_value("dp-slots", args.get("dp-slots", ""));
   }
   config.dataplane.ecmp_slots = static_cast<std::uint32_t>(dp_slots);
   const double elephant_frac = args.real("dp-elephant-frac", 0.08);
   if (elephant_frac < 0.0 || elephant_frac > 1.0) {
-    die_bad_value("dp-elephant-frac", args.options.at("dp-elephant-frac"));
+    die_bad_value("dp-elephant-frac", args.get("dp-elephant-frac", ""));
   }
   config.dataplane.flows.elephant_fraction = elephant_frac;
   config.dataplane.seed = static_cast<std::uint64_t>(args.num("seed", 42));
@@ -219,25 +197,23 @@ int main(int argc, char** argv) {
                          args.has("audit-max-repairs");
   const long audit_interval = args.num("audit-interval", 1);
   if (audit_interval < 1) {
-    die_bad_value("audit-interval", args.options.at("audit-interval"));
+    die_bad_value("audit-interval", args.get("audit-interval", ""));
   }
   config.audit.interval_cycles =
       static_cast<std::uint32_t>(audit_interval);
   const long audit_repairs = args.num("audit-max-repairs", 64);
   if (audit_repairs < 0) {
     die_bad_value("audit-max-repairs",
-                  args.options.at("audit-max-repairs"));
+                  args.get("audit-max-repairs", ""));
   }
   config.audit.max_repairs = static_cast<std::uint64_t>(audit_repairs);
-  auto recovery_it = args.options.find("recovery-file");
-  if (recovery_it != args.options.end()) {
-    config.recovery_path = recovery_it->second;
-  }
+  config.recovery_path = args.get("recovery-file", "");
   config.recover = args.has("recover");
   if (config.recover && config.recovery_path.empty()) {
     std::fprintf(stderr, "efd: --recover requires --recovery-file FILE\n");
     return 2;
   }
+  if (!args.all_read("efd")) return usage();
 
   service::EfdService service(pop, config);
   service.shutdown_on_signals();

@@ -48,6 +48,7 @@
 #include "bmp/wire.h"
 #include "core/controller.h"
 #include "dataplane/dataplane.h"
+#include "flags.h"
 #include "io/backoff.h"
 #include "io/fault.h"
 #include "io/socket.h"
@@ -70,38 +71,34 @@ using namespace ef;
   std::exit(2);
 }
 
-struct Args {
+int usage();
+
+struct Args : tools::FlagMap {
   std::string command;
-  std::map<std::string, std::string> options;
   std::vector<std::string> positionals;  // non-flag operands (e.g. FILE)
 
-  bool has(const std::string& key) const { return options.contains(key); }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
   long num(const std::string& key, long fallback) const {
-    auto it = options.find(key);
-    if (it == options.end()) return fallback;
+    const std::string* raw = find(key);
+    if (raw == nullptr) return fallback;
     try {
       std::size_t consumed = 0;
-      const long value = std::stol(it->second, &consumed);
-      if (consumed != it->second.size()) die_bad_value(key, it->second);
+      const long value = std::stol(*raw, &consumed);
+      if (consumed != raw->size()) die_bad_value(key, *raw);
       return value;
     } catch (const std::exception&) {
-      die_bad_value(key, it->second);
+      die_bad_value(key, *raw);
     }
   }
   double real(const std::string& key, double fallback) const {
-    auto it = options.find(key);
-    if (it == options.end()) return fallback;
+    const std::string* raw = find(key);
+    if (raw == nullptr) return fallback;
     try {
       std::size_t consumed = 0;
-      const double value = std::stod(it->second, &consumed);
-      if (consumed != it->second.size()) die_bad_value(key, it->second);
+      const double value = std::stod(*raw, &consumed);
+      if (consumed != raw->size()) die_bad_value(key, *raw);
       return value;
     } catch (const std::exception&) {
-      die_bad_value(key, it->second);
+      die_bad_value(key, *raw);
     }
   }
 };
@@ -110,23 +107,11 @@ Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) {
-      args.positionals.push_back(key);
+    if (std::strncmp(argv[i], "--", 2) != 0) {
+      args.positionals.push_back(argv[i]);
       continue;
     }
-    key = key.substr(2);
-    // --key=value form: the value may be anything, including empty (which
-    // strict numeric validation then rejects loudly).
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      args.options[key.substr(0, eq)] = key.substr(eq + 1);
-      continue;
-    }
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[key] = argv[++i];
-    } else {
-      args.options[key] = "1";  // boolean flag
-    }
+    i = args.parse(argc, argv, i);
   }
   return args;
 }
@@ -1011,15 +996,8 @@ int cmd_serve(const Args& args) {
   config.sflow_sample_rate =
       static_cast<std::uint32_t>(args.num("sample-rate", 10));
   config.real_time_cycles = args.has("real-time");
-  // Sharded-cycle and decode-pipeline knobs: execution resources only,
-  // never decision inputs (allocations are bitwise identical for every
-  // value; see docs/SCALING.md).
-  const long alloc_threads = args.num("threads", 1);
-  if (alloc_threads < 0 ||
-      alloc_threads > static_cast<long>(runtime::ThreadPool::kMaxThreads)) {
-    die_bad_value("threads", args.get("threads", ""));
-  }
-  config.controller.alloc_threads = static_cast<unsigned>(alloc_threads);
+  // Decode-pipeline knob: an execution resource only, never a decision
+  // input (see docs/SCALING.md).
   const long decode_threads = args.num("decode-threads", 0);
   if (decode_threads < 0 ||
       decode_threads > static_cast<long>(runtime::ThreadPool::kMaxThreads)) {
@@ -1035,6 +1013,7 @@ int cmd_serve(const Args& args) {
   apply_audit_flags(args, config);
   apply_bgp_fault_flags(args, config,
                         static_cast<std::uint64_t>(args.num("seed", 42)));
+  if (!args.all_read("eftool serve")) return usage();
 
   service::EfdService service(pop, config);
   service.shutdown_on_signals();
@@ -1864,11 +1843,8 @@ int usage() {
       "             --max-overrides N | --split\n"
       "  serve      [--pop K] [--bmp P] [--sflow P] [--http P] [--inject]\n"
       "             [--real-time] [--cycle-secs S] [--sample-rate N]\n"
-      "             [--threads N] [--decode-threads N]\n"
-      "             [--incremental[=FRAC]]\n"
-      "             (--threads: allocation-cycle workers, 1 = serial,\n"
-      "              0 = one per hardware thread, decisions identical;\n"
-      "              --decode-threads: BMP decode pool, 0 = inline;\n"
+      "             [--decode-threads N] [--incremental[=FRAC]]\n"
+      "             (--decode-threads: BMP decode pool, 0 = inline;\n"
       "              --incremental: delta allocation cycles, FRAC =\n"
       "              dirty-fraction fallback ceiling in [0,1])\n"
       "             [--failsafe] [--max-demand-age SECS] [--hold-ttl SECS]\n"
