@@ -135,10 +135,10 @@ void EventLoop::run_sync(std::function<void()> fn) {
   bool done = false;
   post([&] {
     fn();
-    {
-      std::lock_guard<std::mutex> lock(m);
-      done = true;
-    }
+    // Notify under the lock: once it is released the waiter may return
+    // and destroy `cv`, so the notify must not come after the unlock.
+    std::lock_guard<std::mutex> lock(m);
+    done = true;
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(m);

@@ -84,8 +84,11 @@ class BufReader {
     for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_++];
     return v;
   }
-  /// Copies `len` bytes into `out`; zero-fills on underflow.
+  /// Copies `len` bytes into `out`; zero-fills on underflow. `out` may be
+  /// null when `len` is 0 (an empty vector's data()), which memcpy and
+  /// memset do not allow.
   void bytes(std::uint8_t* out, std::size_t len) {
+    if (len == 0) return;
     if (!require(len)) {
       std::memset(out, 0, len);
       return;

@@ -31,6 +31,7 @@ Announcer::Announcer(io::EventLoop& loop, Config config)
   }
   per_peer_sent_ =
       std::make_unique<std::atomic<std::uint64_t>[]>(peers_.size());
+  counters_.set(Counter::sessions_configured, peers_.size());
   speaker_.set_monitor([this](const bgp::MonitorEvent& event) {
     if (event.kind != bgp::MonitorEvent::Kind::kPeerUp) return;
     for (std::size_t i = 0; i < peers_.size(); ++i) {
@@ -101,19 +102,19 @@ bool Announcer::dial(std::size_t index) {
               faults->apply(bytes, 19, withdraw_bearing);
           switch (decision.kind) {
             case io::FaultKind::kDrop:
-              faults_dropped_.fetch_add(1, std::memory_order_release);
+              counters_.add(Counter::faults_dropped);
               if (withdraw_bearing) {
-                withdraws_swallowed_.fetch_add(1, std::memory_order_release);
+                counters_.add(Counter::withdraws_swallowed);
               }
               return;  // never reaches the wire, never counted
             case io::FaultKind::kDuplicate:
               copies = 2;
-              faults_duplicated_.fetch_add(1, std::memory_order_release);
+              counters_.add(Counter::faults_duplicated);
               bytes = std::move(decision.bytes);
               break;
             case io::FaultKind::kDisconnect:
               flap = true;
-              faults_flapped_.fetch_add(1, std::memory_order_release);
+              counters_.add(Counter::faults_flapped);
               break;
             default:
               bytes = std::move(decision.bytes);
@@ -124,10 +125,10 @@ bool Announcer::dial(std::size_t index) {
         // these against the peering router's updates_received, and a
         // dropped UPDATE genuinely never arrives while a duplicate
         // arrives twice.
-        updates_sent_.fetch_add(copies, std::memory_order_release);
+        counters_.add(Counter::updates_sent, copies);
         per_peer_sent_[index].fetch_add(copies, std::memory_order_release);
         if (withdraw_bearing) {
-          withdraw_msgs_.fetch_add(copies, std::memory_order_release);
+          counters_.add(Counter::withdraw_msgs, copies);
         }
         driver->transmit(std::move(bytes));
         if (flap) {
@@ -160,7 +161,7 @@ void Announcer::on_driver_down(std::size_t index,
   Peer& peer = *peers_[index];
   const bool was_up = peer.up;
   peer.up = false;
-  if (was_up) session_drops_.fetch_add(1, std::memory_order_release);
+  if (was_up) counters_.add(Counter::session_drops);
   publish();
   if (on_event_) on_event_(index, false, reason);
   // The driver reported its own death; destroy it (and its speaker
@@ -173,7 +174,7 @@ void Announcer::on_driver_down(std::size_t index,
     }
     deferred.driver.reset();
     if (!killed_ && deferred.reconnector) {
-      redials_.fetch_add(1, std::memory_order_release);
+      counters_.add(Counter::redials);
       deferred.reconnector->start();
     }
   });
@@ -198,14 +199,14 @@ void Announcer::announce(
     originations[prefix] = std::move(origination);
   }
   speaker_.set_originations(originations, now);
-  prefixes_active_.store(originations.size(), std::memory_order_release);
+  counters_.set(Counter::prefixes_active, originations.size());
   publish();
 }
 
 void Announcer::withdraw_all(net::SimTime now) {
   if (killed_) return;
   speaker_.set_originations({}, now);
-  prefixes_active_.store(0, std::memory_order_release);
+  counters_.set(Counter::prefixes_active, 0);
   publish();
 }
 
@@ -242,24 +243,17 @@ void Announcer::kill() {
 void Announcer::publish() {
   std::uint64_t up = 0;
   for (const auto& peer : peers_) up += peer->up ? 1 : 0;
-  sessions_established_.store(up, std::memory_order_release);
+  counters_.set(Counter::sessions_established, up);
 }
 
 Announcer::Stats Announcer::stats() const {
+#define EF_STATS_ROW(field, ingest, metric, help) \
+  {&Stats::field, metric, help},
+  static constexpr CounterRow<Stats> kRows[] = {
+      EF_ANNOUNCER_COUNTERS(EF_STATS_ROW)};
+#undef EF_STATS_ROW
   Stats stats;
-  stats.sessions_established =
-      sessions_established_.load(std::memory_order_acquire);
-  stats.session_drops = session_drops_.load(std::memory_order_acquire);
-  stats.redials = redials_.load(std::memory_order_acquire);
-  stats.updates_sent = updates_sent_.load(std::memory_order_acquire);
-  stats.withdraw_msgs = withdraw_msgs_.load(std::memory_order_acquire);
-  stats.prefixes_active = prefixes_active_.load(std::memory_order_acquire);
-  stats.faults_dropped = faults_dropped_.load(std::memory_order_acquire);
-  stats.faults_duplicated =
-      faults_duplicated_.load(std::memory_order_acquire);
-  stats.faults_flapped = faults_flapped_.load(std::memory_order_acquire);
-  stats.withdraws_swallowed =
-      withdraws_swallowed_.load(std::memory_order_acquire);
+  counters_.load(stats, kRows);
   return stats;
 }
 

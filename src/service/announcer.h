@@ -39,6 +39,37 @@
 #include "io/backoff.h"
 #include "io/event_loop.h"
 #include "io/fault.h"
+#include "service/counters.h"
+
+// The announcer's counters, one row each: Stats field, the efd
+// IngestSnapshot field that re-exports it, /metrics name, help text.
+// updates_sent counts post-fault wire messages, so drain barriers against
+// the peer's updates_received stay exact; the faults_* / swallowed rows
+// stay zero unless Config::faults is set.
+#define EF_ANNOUNCER_COUNTERS(X)                                              \
+  X(sessions_configured, bgp_sessions_configured,                             \
+    "efd_bgp_sessions_configured", "peering routers in --announce")          \
+  X(sessions_established, bgp_sessions_established,                           \
+    "efd_bgp_sessions_established", "announcer sessions currently up")       \
+  X(session_drops, bgp_session_drops, "efd_bgp_session_drops_total",          \
+    "announcer session drops (each one is a ladder event)")                  \
+  X(redials, bgp_redials, "efd_bgp_redials_total",                            \
+    "announcer reconnect attempts (backoff-paced)")                          \
+  X(updates_sent, bgp_updates_sent, "efd_bgp_updates_sent_total",             \
+    "UPDATE messages sent, all routers")                                     \
+  X(withdraw_msgs, bgp_withdraw_msgs, "efd_bgp_withdraw_updates_total",       \
+    "UPDATEs that only withdraw")                                            \
+  X(prefixes_active, bgp_prefixes_announced, "efd_bgp_prefixes_announced",    \
+    "currently announced override set size")                                 \
+  X(faults_dropped, bgp_faults_dropped, "efd_bgp_faults_dropped_total",       \
+    "UPDATEs an injected fault kept off the wire")                           \
+  X(faults_duplicated, bgp_faults_duplicated,                                 \
+    "efd_bgp_faults_duplicated_total", "UPDATEs an injected fault sent twice") \
+  X(faults_flapped, bgp_faults_flapped, "efd_bgp_faults_flapped_total",       \
+    "sessions an injected fault failed after a send")                        \
+  X(withdraws_swallowed, bgp_withdraws_swallowed,                             \
+    "efd_bgp_withdraws_swallowed_total",                                      \
+    "withdraw-bearing UPDATEs an injected fault dropped")
 
 namespace ef::service {
 
@@ -121,22 +152,16 @@ class Announcer {
 
   std::size_t peer_count() const { return peers_.size(); }
 
+  enum class Counter : std::size_t {
+    EF_ANNOUNCER_COUNTERS(EF_COUNTER_ID) kCount
+  };
   struct Stats {
-    std::uint64_t sessions_established = 0;  // currently up
-    std::uint64_t session_drops = 0;
-    std::uint64_t redials = 0;
-    std::uint64_t updates_sent = 0;     // UPDATE messages, all peers
-    std::uint64_t withdraw_msgs = 0;    // UPDATEs that only withdraw
-    std::uint64_t prefixes_active = 0;  // currently announced set
-    // Injected BGP-path faults (zero unless Config::faults is set).
-    // updates_sent/updates_sent_to count post-fault wire messages, so
-    // drain barriers against the peer's updates_received stay exact.
-    std::uint64_t faults_dropped = 0;     // UPDATEs never transmitted
-    std::uint64_t faults_duplicated = 0;  // UPDATEs sent twice
-    std::uint64_t faults_flapped = 0;     // sessions failed post-send
-    std::uint64_t withdraws_swallowed = 0;  // dropped withdraw-bearing
+    EF_ANNOUNCER_COUNTERS(EF_COUNTER_FIELD)
   };
   Stats stats() const;
+  /// The counter storage itself, for owners that re-export it: efd loads
+  /// it straight into its IngestSnapshot.
+  const Counters<Counter>& counters() const { return counters_; }
 
   /// UPDATE messages delivered to peer `i` across all of its sessions —
   /// the barrier counter the interop test compares against the
@@ -171,16 +196,7 @@ class Announcer {
   EventFn on_event_;
   bool killed_ = false;
 
-  std::atomic<std::uint64_t> sessions_established_{0};
-  std::atomic<std::uint64_t> session_drops_{0};
-  std::atomic<std::uint64_t> redials_{0};
-  std::atomic<std::uint64_t> updates_sent_{0};
-  std::atomic<std::uint64_t> withdraw_msgs_{0};
-  std::atomic<std::uint64_t> prefixes_active_{0};
-  std::atomic<std::uint64_t> faults_dropped_{0};
-  std::atomic<std::uint64_t> faults_duplicated_{0};
-  std::atomic<std::uint64_t> faults_flapped_{0};
-  std::atomic<std::uint64_t> withdraws_swallowed_{0};
+  Counters<Counter> counters_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> per_peer_sent_;
 };
 

@@ -1,6 +1,5 @@
 #include "service/efd.h"
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 
@@ -36,6 +35,29 @@ io::PeekFn bmp_peek() {
   };
 }
 
+/// Every IngestSnapshot field with its /metrics name: efd's own counters
+/// first (in EfdService::Counter order), then the announcer's (in
+/// Announcer::Counter order), so each prefix loads straight from its
+/// owner's storage.
+using SnapshotRow = CounterRow<EfdService::IngestSnapshot>;
+#define EF_EFD_ROW(field, metric, help) \
+  {&EfdService::IngestSnapshot::field, metric, help},
+#define EF_EFD_BGP_ROW(field, ingest, metric, help) \
+  {&EfdService::IngestSnapshot::ingest, metric, help},
+constexpr SnapshotRow kSnapshotRows[] = {
+    EF_EFD_COUNTERS(EF_EFD_ROW) EF_ANNOUNCER_COUNTERS(EF_EFD_BGP_ROW)};
+#undef EF_EFD_ROW
+#undef EF_EFD_BGP_ROW
+
+struct GaugeRow {
+  std::string_view metric;
+  std::string_view help;
+};
+enum class Gauge : std::size_t { EF_EFD_GAUGES(EF_COUNTER_ID) };
+#define EF_GAUGE_ROW(id, metric, help) {metric, help},
+constexpr GaugeRow kGaugeRows[] = {EF_EFD_GAUGES(EF_GAUGE_ROW)};
+#undef EF_GAUGE_ROW
+
 /// Fills the auto threshold: demand younger than one cycle period is
 /// unambiguously fresh.
 FailsafeConfig normalized_failsafe(const EfdConfig& config) {
@@ -65,8 +87,8 @@ EfdService::EfdService(topology::Pop& pop, EfdConfig config)
   }
   controller_.set_rib_source(&collector_.rib());
   controller_.connect();
-  failsafe_mode_.store(static_cast<std::uint64_t>(ladder_.mode()),
-                       std::memory_order_release);
+  counters_.set(Counter::failsafe_mode,
+                static_cast<std::uint64_t>(ladder_.mode()));
   if (!config_.journal_path.empty()) {
     journal_ = std::make_unique<audit::JournalWriter>(config_.journal_path);
     EF_CHECK(journal_->ok(),
@@ -216,7 +238,7 @@ void EfdService::on_bmp_accept() {
     loop_.watch(raw, io::kRead, [this, raw](std::uint32_t ready) {
       on_bmp_event(raw, ready);
     });
-    bmp_connections_.fetch_add(1, std::memory_order_release);
+    counters_.add(Counter::bmp_connections);
   }
 }
 
@@ -246,7 +268,7 @@ void EfdService::on_bmp_event(int fd, std::uint32_t ready) {
       if (batch.frames.empty()) {
         // No complete frame in this read: nothing from these bytes can
         // reach the RIB yet, so the barrier may advance immediately.
-        bmp_bytes_.fetch_add(batch.bytes, std::memory_order_release);
+        counters_.add(Counter::bmp_bytes, batch.bytes);
       } else {
         conn.pending_batches.push_back(std::move(batch));
         kick_decode(fd, conn);
@@ -258,7 +280,7 @@ void EfdService::on_bmp_event(int fd, std::uint32_t ready) {
       conn.tcp.consume(data.size());
       // Published only after every complete frame in `data` was applied —
       // the feeder's "all my bytes are in the RIB" barrier.
-      bmp_bytes_.fetch_add(data.size(), std::memory_order_release);
+      counters_.add(Counter::bmp_bytes, data.size());
     }
   }
   if (conn.frames.poisoned()) {
@@ -309,8 +331,8 @@ void EfdService::apply_decoded_batch(int fd, std::uint64_t conn_id,
   // recycled-fd) connection already had its routes purged by
   // close_bmp_conn, so dropping its frames leaves the same RIB state the
   // inline path would have reached — the bytes still count.
-  bmp_decode_batches_.fetch_add(1, std::memory_order_relaxed);
-  bmp_bytes_.fetch_add(batch.bytes, std::memory_order_release);
+  counters_.add(Counter::bmp_decode_batches);
+  counters_.add(Counter::bmp_bytes, batch.bytes);
   if (live) {
     it->second->decode_inflight = false;
     kick_decode(fd, *it->second);
@@ -320,7 +342,7 @@ void EfdService::apply_decoded_batch(int fd, std::uint64_t conn_id,
 void EfdService::apply_bmp_decode(BmpConn& conn,
                                   const bmp::FrameDecode& decoded) {
   if (!decoded.ok()) {
-    bmp_malformed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(Counter::bmp_malformed);
     EF_LOG_WARN("efd: skipping BMP frame: " << decoded.reason);
     return;
   }
@@ -329,7 +351,7 @@ void EfdService::apply_bmp_decode(BmpConn& conn,
     if (init == nullptr) {
       // A feed that talks before introducing itself has no router
       // identity to book routes under.
-      bmp_malformed_.fetch_add(1, std::memory_order_relaxed);
+      counters_.add(Counter::bmp_malformed);
       return;
     }
     auto [it, inserted] =
@@ -338,17 +360,13 @@ void EfdService::apply_bmp_decode(BmpConn& conn,
     conn.router_key = it->second;
     FeedHealth& health = feed_health_[*conn.router_key];
     if (!inserted && !health.connected) {
-      router_reconnects_.fetch_add(1, std::memory_order_release);
+      counters_.add(Counter::router_reconnects);
     }
     health.connected = true;
-    routers_down_.store(
-        static_cast<std::uint64_t>(std::count_if(
-            feed_health_.begin(), feed_health_.end(),
-            [](const auto& kv) { return !kv.second.connected; })),
-        std::memory_order_release);
+    counters_.set(Counter::routers_down, assess_health(now_).routers_down);
   }
   collector_.apply(*conn.router_key, *decoded.message);
-  bmp_messages_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(Counter::bmp_messages);
 }
 
 void EfdService::close_bmp_conn(int fd, bool count_disconnect) {
@@ -362,43 +380,38 @@ void EfdService::close_bmp_conn(int fd, bool count_disconnect) {
     FeedHealth& health = feed_health_[*it->second->router_key];
     health.connected = false;
     health.down_since = now_;  // feed time: deterministic under replay
-    routers_down_.store(
-        static_cast<std::uint64_t>(std::count_if(
-            feed_health_.begin(), feed_health_.end(),
-            [](const auto& kv) { return !kv.second.connected; })),
-        std::memory_order_release);
+    counters_.set(Counter::routers_down, assess_health(now_).routers_down);
   }
   // Batches read but never submitted die with the connection; their
   // frames can no longer change the RIB (the router's routes were just
   // purged), so credit their bytes now or feeder barriers would hang.
   // The in-flight batch, if any, credits its own bytes on completion.
   for (const DecodeBatch& batch : it->second->pending_batches) {
-    bmp_bytes_.fetch_add(batch.bytes, std::memory_order_release);
+    counters_.add(Counter::bmp_bytes, batch.bytes);
   }
   loop_.unwatch(fd);
   bmp_conns_.erase(it);
   if (count_disconnect) {
-    bmp_disconnects_.fetch_add(1, std::memory_order_release);
+    counters_.add(Counter::bmp_disconnects);
   }
 }
 
 void EfdService::on_sflow_ready() {
   sflow_sock_->drain([this](std::span<const std::uint8_t> datagram) {
-    sflow_bytes_.fetch_add(datagram.size(), std::memory_order_relaxed);
+    counters_.add(Counter::sflow_bytes, datagram.size());
     const telemetry::wire::DatagramDecode decoded =
         telemetry::wire::decode_datagram(datagram);
     if (!decoded.ok) {
       EF_LOG_WARN("efd: dropped non-EFS1 datagram (" << decoded.reason
                                                      << ")");
-      sflow_datagrams_.fetch_add(1, std::memory_order_release);
+      counters_.add(Counter::sflow_datagrams);
       return;
     }
     for (const auto& record : decoded.records) handle_record(record);
-    sflow_records_.fetch_add(decoded.records.size(),
-                             std::memory_order_relaxed);
+    counters_.add(Counter::sflow_records, decoded.records.size());
     // After the records took effect (windows closed, cycles run): the
     // feeder's pacing barrier.
-    sflow_datagrams_.fetch_add(1, std::memory_order_release);
+    counters_.add(Counter::sflow_datagrams);
   });
 }
 
@@ -466,7 +479,7 @@ void EfdService::on_window_close(
       direct_seen_ = false;
     }
   }
-  windows_closed_.fetch_add(1, std::memory_order_release);
+  counters_.add(Counter::windows_closed);
 }
 
 void EfdService::run_cycle_guarded(net::SimTime now,
@@ -499,25 +512,21 @@ void EfdService::run_cycle_guarded(net::SimTime now,
       full_fallbacks = stats.full_fallbacks;
       if (config_.controller.incremental) {
         if (stats.incremental_cycle) {
-          alloc_incremental_cycles_.fetch_add(1, std::memory_order_relaxed);
-          alloc_incremental_wall_ns_.store(
-              static_cast<std::uint64_t>(stats.allocation_wall.count()),
-              std::memory_order_relaxed);
+          counters_.add(Counter::alloc_incremental_cycles);
+          counters_.set(
+              Counter::alloc_incremental_wall_ns,
+              static_cast<std::uint64_t>(stats.allocation_wall.count()));
         } else {
-          alloc_full_wall_ns_.store(
-              static_cast<std::uint64_t>(stats.allocation_wall.count()),
-              std::memory_order_relaxed);
+          counters_.set(
+              Counter::alloc_full_wall_ns,
+              static_cast<std::uint64_t>(stats.allocation_wall.count()));
         }
-        alloc_full_fallbacks_.fetch_add(stats.full_fallbacks,
-                                        std::memory_order_relaxed);
-        alloc_escalations_.fetch_add(stats.escalations,
-                                     std::memory_order_relaxed);
-        alloc_dirty_prefixes_.store(stats.dirty_prefixes,
-                                    std::memory_order_relaxed);
+        counters_.add(Counter::alloc_full_fallbacks, stats.full_fallbacks);
+        counters_.add(Counter::alloc_escalations, stats.escalations);
+        counters_.set(Counter::alloc_dirty_prefixes, stats.dirty_prefixes);
       }
       if (stats.churn_deferred > 0) {
-        churn_deferred_.fetch_add(stats.churn_deferred,
-                                  std::memory_order_relaxed);
+        counters_.add(Counter::churn_deferred, stats.churn_deferred);
       }
       if (stats.watchdog_aborted) {
         // The controller already enforced the empty set; the ladder just
@@ -606,21 +615,15 @@ void EfdService::run_cycle_guarded(net::SimTime now,
     last_dataplane_step_ = now;
     dataplane_stepped_ = true;
     const dataplane::DataplaneTotals& totals = dataplane_->totals();
-    dataplane_flows_active_.store(stats.flows_active,
-                                  std::memory_order_relaxed);
-    dataplane_flows_moved_.store(totals.flows_moved,
-                                 std::memory_order_relaxed);
-    dataplane_reorder_events_.store(totals.reorder_events,
-                                    std::memory_order_relaxed);
-    dataplane_offered_bytes_.store(totals.offered_bytes,
-                                   std::memory_order_relaxed);
-    dataplane_delivered_bytes_.store(totals.delivered_bytes,
-                                     std::memory_order_relaxed);
-    dataplane_dropped_bytes_.store(totals.dropped_bytes,
-                                   std::memory_order_relaxed);
-    dataplane_queued_bytes_.store(stats.queued_bytes,
-                                  std::memory_order_relaxed);
-    dataplane_steps_.fetch_add(1, std::memory_order_release);
+    counters_.set(Counter::dataplane_flows_active, stats.flows_active);
+    counters_.set(Counter::dataplane_flows_moved, totals.flows_moved);
+    counters_.set(Counter::dataplane_reorder_events, totals.reorder_events);
+    counters_.set(Counter::dataplane_offered_bytes, totals.offered_bytes);
+    counters_.set(Counter::dataplane_delivered_bytes,
+                  totals.delivered_bytes);
+    counters_.set(Counter::dataplane_dropped_bytes, totals.dropped_bytes);
+    counters_.set(Counter::dataplane_queued_bytes, stats.queued_bytes);
+    counters_.add(Counter::dataplane_steps);
   }
 
   digest.when = now;
@@ -649,7 +652,7 @@ void EfdService::run_cycle_guarded(net::SimTime now,
       decision.action == audit::FailsafeAction::kRun) {
     persist_recovery(now);
   }
-  cycles_run_.fetch_add(1, std::memory_order_release);
+  counters_.add(Counter::cycles_run);
 }
 
 std::vector<bgp::Route> EfdService::audit_observed() {
@@ -696,20 +699,15 @@ void EfdService::run_audit(net::SimTime now, CycleDigest& digest) {
   }
 
   const EnforcementAuditor::Stats& stats = auditor_->stats();
-  audit_runs_.store(stats.audits, std::memory_order_relaxed);
-  audit_divergent_.store(stats.divergent_audits,
-                         std::memory_order_relaxed);
-  audit_missing_.store(stats.missing_total, std::memory_order_relaxed);
-  audit_extra_.store(stats.extra_total, std::memory_order_relaxed);
-  audit_wrong_attrs_.store(stats.wrong_attrs_total,
-                           std::memory_order_relaxed);
-  audit_repairs_announce_.store(stats.repairs_announce,
-                                std::memory_order_relaxed);
-  audit_repairs_withdraw_.store(stats.repairs_withdraw,
-                                std::memory_order_relaxed);
-  audit_unrepaired_.store(stats.unrepaired_total,
-                          std::memory_order_relaxed);
-  audit_streak_.store(report.divergent_streak, std::memory_order_release);
+  counters_.set(Counter::audit_runs, stats.audits);
+  counters_.set(Counter::audit_divergent, stats.divergent_audits);
+  counters_.set(Counter::audit_missing, stats.missing_total);
+  counters_.set(Counter::audit_extra, stats.extra_total);
+  counters_.set(Counter::audit_wrong_attrs, stats.wrong_attrs_total);
+  counters_.set(Counter::audit_repairs_announce, stats.repairs_announce);
+  counters_.set(Counter::audit_repairs_withdraw, stats.repairs_withdraw);
+  counters_.set(Counter::audit_unrepaired, stats.unrepaired_total);
+  counters_.set(Counter::audit_divergent_streak, report.divergent_streak);
 
   if (!report.divergent()) return;
   audit::AuditEvent event;
@@ -765,7 +763,7 @@ void EfdService::persist_recovery(net::SimTime when) {
     EF_LOG_WARN("efd: cannot rename " << tmp << " into place");
     return;
   }
-  recovery_writes_.fetch_add(1, std::memory_order_release);
+  counters_.add(Counter::recovery_writes);
 }
 
 void EfdService::try_recover() {
@@ -799,8 +797,9 @@ void EfdService::try_recover() {
   last_demand_ = snap->when;
   audited_intent_ = controller_.active_overrides();
   recovered_ = true;
-  failsafe_mode_.store(static_cast<std::uint64_t>(ladder_.mode()),
-                       std::memory_order_release);
+  counters_.set(Counter::recovered, 1);
+  counters_.set(Counter::failsafe_mode,
+                static_cast<std::uint64_t>(ladder_.mode()));
   audit::FailsafeEvent event;
   event.when = snap->when;
   event.from_mode = audit::FailsafeMode::kFailStatic;
@@ -876,108 +875,37 @@ void EfdService::kill_announcer() {
 
 void EfdService::publish_ladder_counters() {
   const FailsafeLadder::Stats& stats = ladder_.stats();
-  failsafe_mode_.store(static_cast<std::uint64_t>(ladder_.mode()),
-                       std::memory_order_release);
-  failsafe_holds_.store(stats.holds, std::memory_order_release);
-  failsafe_fail_statics_.store(stats.fail_statics,
-                               std::memory_order_release);
-  failsafe_recoveries_.store(stats.recoveries, std::memory_order_release);
-  failsafe_transitions_.store(stats.transitions,
-                              std::memory_order_release);
-  watchdog_aborts_.store(stats.watchdog_aborts, std::memory_order_release);
-  audit_escalations_.store(stats.audit_escalations,
-                           std::memory_order_release);
+  counters_.set(Counter::failsafe_mode,
+                static_cast<std::uint64_t>(ladder_.mode()));
+  counters_.set(Counter::failsafe_holds, stats.holds);
+  counters_.set(Counter::failsafe_fail_statics, stats.fail_statics);
+  counters_.set(Counter::failsafe_recoveries, stats.recoveries);
+  counters_.set(Counter::failsafe_transitions, stats.transitions);
+  counters_.set(Counter::watchdog_aborts, stats.watchdog_aborts);
+  counters_.set(Counter::audit_escalations, stats.audit_escalations);
 }
 
 EfdService::IngestSnapshot EfdService::ingest() const {
   IngestSnapshot snap;
-  snap.bmp_connections = bmp_connections_.load(std::memory_order_acquire);
-  snap.bmp_disconnects = bmp_disconnects_.load(std::memory_order_acquire);
-  snap.bmp_bytes = bmp_bytes_.load(std::memory_order_acquire);
-  snap.bmp_messages = bmp_messages_.load(std::memory_order_acquire);
-  snap.bmp_malformed = bmp_malformed_.load(std::memory_order_acquire);
-  snap.bmp_decode_batches =
-      bmp_decode_batches_.load(std::memory_order_acquire);
-  snap.sflow_datagrams = sflow_datagrams_.load(std::memory_order_acquire);
-  snap.sflow_records = sflow_records_.load(std::memory_order_acquire);
-  snap.sflow_bytes = sflow_bytes_.load(std::memory_order_acquire);
-  snap.windows_closed = windows_closed_.load(std::memory_order_acquire);
-  snap.cycles_run = cycles_run_.load(std::memory_order_acquire);
-  snap.failsafe_mode = failsafe_mode_.load(std::memory_order_acquire);
-  snap.failsafe_holds = failsafe_holds_.load(std::memory_order_acquire);
-  snap.failsafe_fail_statics =
-      failsafe_fail_statics_.load(std::memory_order_acquire);
-  snap.failsafe_recoveries =
-      failsafe_recoveries_.load(std::memory_order_acquire);
-  snap.failsafe_transitions =
-      failsafe_transitions_.load(std::memory_order_acquire);
-  snap.watchdog_aborts = watchdog_aborts_.load(std::memory_order_acquire);
-  snap.churn_deferred = churn_deferred_.load(std::memory_order_acquire);
-  snap.alloc_incremental_cycles =
-      alloc_incremental_cycles_.load(std::memory_order_acquire);
-  snap.alloc_full_fallbacks =
-      alloc_full_fallbacks_.load(std::memory_order_acquire);
-  snap.alloc_escalations =
-      alloc_escalations_.load(std::memory_order_acquire);
-  snap.alloc_dirty_prefixes =
-      alloc_dirty_prefixes_.load(std::memory_order_acquire);
-  snap.alloc_incremental_wall_ns =
-      alloc_incremental_wall_ns_.load(std::memory_order_acquire);
-  snap.alloc_full_wall_ns =
-      alloc_full_wall_ns_.load(std::memory_order_acquire);
-  snap.routers_down = routers_down_.load(std::memory_order_acquire);
-  snap.router_reconnects =
-      router_reconnects_.load(std::memory_order_acquire);
-  snap.http_aborted_conns =
-      http_ ? http_->aborted_conns() : 0;
-  snap.dataplane_steps = dataplane_steps_.load(std::memory_order_acquire);
-  snap.dataplane_flows_active =
-      dataplane_flows_active_.load(std::memory_order_acquire);
-  snap.dataplane_flows_moved =
-      dataplane_flows_moved_.load(std::memory_order_acquire);
-  snap.dataplane_reorder_events =
-      dataplane_reorder_events_.load(std::memory_order_acquire);
-  snap.dataplane_offered_bytes =
-      dataplane_offered_bytes_.load(std::memory_order_acquire);
-  snap.dataplane_delivered_bytes =
-      dataplane_delivered_bytes_.load(std::memory_order_acquire);
-  snap.dataplane_dropped_bytes =
-      dataplane_dropped_bytes_.load(std::memory_order_acquire);
-  snap.dataplane_queued_bytes =
-      dataplane_queued_bytes_.load(std::memory_order_acquire);
-  if (announcer_) {
-    const Announcer::Stats bgp = announcer_->stats();
-    snap.bgp_sessions_configured = announcer_->peer_count();
-    snap.bgp_sessions_established = bgp.sessions_established;
-    snap.bgp_session_drops = bgp.session_drops;
-    snap.bgp_redials = bgp.redials;
-    snap.bgp_updates_sent = bgp.updates_sent;
-    snap.bgp_withdraw_msgs = bgp.withdraw_msgs;
-    snap.bgp_prefixes_announced = bgp.prefixes_active;
-    snap.bgp_faults_dropped = bgp.faults_dropped;
-    snap.bgp_faults_duplicated = bgp.faults_duplicated;
-    snap.bgp_faults_flapped = bgp.faults_flapped;
-    snap.bgp_withdraws_swallowed = bgp.withdraws_swallowed;
-  }
-  snap.audit_runs = audit_runs_.load(std::memory_order_acquire);
-  snap.audit_divergent = audit_divergent_.load(std::memory_order_acquire);
-  snap.audit_missing = audit_missing_.load(std::memory_order_acquire);
-  snap.audit_extra = audit_extra_.load(std::memory_order_acquire);
-  snap.audit_wrong_attrs =
-      audit_wrong_attrs_.load(std::memory_order_acquire);
-  snap.audit_repairs_announce =
-      audit_repairs_announce_.load(std::memory_order_acquire);
-  snap.audit_repairs_withdraw =
-      audit_repairs_withdraw_.load(std::memory_order_acquire);
-  snap.audit_unrepaired =
-      audit_unrepaired_.load(std::memory_order_acquire);
-  snap.audit_divergent_streak =
-      audit_streak_.load(std::memory_order_acquire);
-  snap.audit_escalations =
-      audit_escalations_.load(std::memory_order_acquire);
-  snap.recovery_writes = recovery_writes_.load(std::memory_order_acquire);
-  snap.recovered = recovered_ ? 1 : 0;
+  const std::span<const SnapshotRow> rows(kSnapshotRows);
+  const auto own = static_cast<std::size_t>(Counter::kCount);
+  counters_.load(snap, rows.first(own));
+  if (announcer_) announcer_->counters().load(snap, rows.subspan(own));
+  // The HTTP server keeps this one itself; its row here only exports it.
+  snap.http_aborted_conns = http_ ? http_->aborted_conns() : 0;
   return snap;
+}
+
+std::string EfdService::metrics_reference() {
+  std::ostringstream os;
+  os << "| metric | help |\n|---|---|\n";
+  for (const SnapshotRow& row : kSnapshotRows) {
+    os << "| `" << row.metric << "` | " << row.help << " |\n";
+  }
+  for (const GaugeRow& row : kGaugeRows) {
+    os << "| `" << row.metric << "` | " << row.help << " |\n";
+  }
+  return os.str();
 }
 
 std::vector<EfdService::CycleDigest> EfdService::digests() const {
@@ -1100,122 +1028,35 @@ std::string EfdService::render_status() const {
 std::string EfdService::render_metrics() const {
   const IngestSnapshot snap = ingest();
   std::ostringstream os;
-  os << "efd_bmp_connections_total " << snap.bmp_connections << "\n"
-     << "efd_bmp_disconnects_total " << snap.bmp_disconnects << "\n"
-     << "efd_bmp_bytes_total " << snap.bmp_bytes << "\n"
-     << "efd_bmp_messages_total " << snap.bmp_messages << "\n"
-     << "efd_bmp_malformed_total " << snap.bmp_malformed << "\n"
-     << "efd_bmp_decode_batches_total " << snap.bmp_decode_batches << "\n"
-     << "efd_bmp_decode_threads "
-     << (decode_pool_ ? decode_pool_->size() : 0) << "\n"
-     << "efd_sflow_datagrams_total " << snap.sflow_datagrams << "\n"
-     << "efd_sflow_records_total " << snap.sflow_records << "\n"
-     << "efd_sflow_bytes_total " << snap.sflow_bytes << "\n"
-     << "efd_windows_closed_total " << snap.windows_closed << "\n"
-     << "efd_cycles_run_total " << snap.cycles_run << "\n"
-     << "efd_rib_prefixes " << collector_.rib().prefix_count() << "\n"
-     << "efd_rib_routes " << collector_.rib().route_count() << "\n"
-     << "efd_overrides_active " << controller_.active_overrides().size()
-     << "\n";
-  // Failsafe / degradation-ladder state. Exported even while disabled so
-  // dashboards can tell "healthy" apart from "not guarded".
+  for (const SnapshotRow& row : kSnapshotRows) {
+    os << row.metric << ' ' << snap.*row.field << '\n';
+  }
+  // Gauges of loop-thread state. The *_enabled flags are exported even
+  // while off, so dashboards can tell "healthy" / "convergent" / "no
+  // drops" apart from "not guarded" / "not auditing" / "not measuring".
+  const auto gauge = [&os](Gauge id, const auto& value) {
+    os << kGaugeRows[static_cast<std::size_t>(id)].metric << ' ' << value
+       << '\n';
+  };
   const InputHealth health = assess_health(now_);
-  os << "efd_failsafe_enabled " << (ladder_.config().enabled ? 1 : 0)
-     << "\n"
-     << "efd_failsafe_mode " << snap.failsafe_mode << "\n"
-     << "efd_failsafe_holds_total " << snap.failsafe_holds << "\n"
-     << "efd_failsafe_fail_statics_total " << snap.failsafe_fail_statics
-     << "\n"
-     << "efd_failsafe_recoveries_total " << snap.failsafe_recoveries
-     << "\n"
-     << "efd_failsafe_transitions_total " << snap.failsafe_transitions
-     << "\n"
-     << "efd_watchdog_aborts_total " << snap.watchdog_aborts << "\n"
-     << "efd_churn_deferred_total " << snap.churn_deferred << "\n"
-     << "efd_alloc_incremental_enabled "
-     << (config_.controller.incremental ? 1 : 0) << "\n"
-     << "efd_alloc_incremental_cycles_total "
-     << snap.alloc_incremental_cycles << "\n"
-     << "efd_alloc_full_fallbacks_total " << snap.alloc_full_fallbacks
-     << "\n"
-     << "efd_alloc_escalations_total " << snap.alloc_escalations << "\n"
-     << "efd_alloc_dirty_prefixes " << snap.alloc_dirty_prefixes << "\n"
-     << "efd_alloc_incremental_wall_ns " << snap.alloc_incremental_wall_ns
-     << "\n"
-     << "efd_alloc_full_wall_ns " << snap.alloc_full_wall_ns << "\n"
-     << "efd_routers_known " << health.routers_known << "\n"
-     << "efd_routers_down " << snap.routers_down << "\n"
-     << "efd_demand_age_ms "
-     << (health.demand_seen ? health.demand_age.millis_value() : -1)
-     << "\n"
-     << "efd_router_reconnects_total " << snap.router_reconnects << "\n"
-     << "efd_http_aborted_conns_total " << snap.http_aborted_conns
-     << "\n";
-  // BGP enforcement plane (the announcer). Exported even while absent so
-  // dashboards can tell "enforcing in-process" apart from "wire down".
-  os << "efd_bgp_sessions_configured " << snap.bgp_sessions_configured
-     << "\n"
-     << "efd_bgp_sessions_established " << snap.bgp_sessions_established
-     << "\n"
-     << "efd_bgp_session_drops_total " << snap.bgp_session_drops << "\n"
-     << "efd_bgp_redials_total " << snap.bgp_redials << "\n"
-     << "efd_bgp_updates_sent_total " << snap.bgp_updates_sent << "\n"
-     << "efd_bgp_withdraw_updates_total " << snap.bgp_withdraw_msgs
-     << "\n"
-     << "efd_bgp_prefixes_announced " << snap.bgp_prefixes_announced
-     << "\n"
-     << "efd_bgp_faults_dropped_total " << snap.bgp_faults_dropped << "\n"
-     << "efd_bgp_faults_duplicated_total " << snap.bgp_faults_duplicated
-     << "\n"
-     << "efd_bgp_faults_flapped_total " << snap.bgp_faults_flapped << "\n"
-     << "efd_bgp_withdraws_swallowed_total "
-     << snap.bgp_withdraws_swallowed << "\n";
-  // Enforcement audit. Exported even while disabled so dashboards can
-  // tell "convergent" apart from "not auditing".
-  os << "efd_audit_enabled " << (config_.audit.enabled ? 1 : 0) << "\n"
-     << "efd_audit_runs_total " << snap.audit_runs << "\n"
-     << "efd_audit_divergent_total " << snap.audit_divergent << "\n"
-     << "efd_audit_missing_total " << snap.audit_missing << "\n"
-     << "efd_audit_extra_total " << snap.audit_extra << "\n"
-     << "efd_audit_wrong_attrs_total " << snap.audit_wrong_attrs << "\n"
-     << "efd_audit_repairs_announce_total " << snap.audit_repairs_announce
-     << "\n"
-     << "efd_audit_repairs_withdraw_total " << snap.audit_repairs_withdraw
-     << "\n"
-     << "efd_audit_unrepaired_total " << snap.audit_unrepaired << "\n"
-     << "efd_audit_divergent_streak " << snap.audit_divergent_streak
-     << "\n"
-     << "efd_audit_escalations_total " << snap.audit_escalations << "\n"
-     << "efd_recovery_writes_total " << snap.recovery_writes << "\n"
-     << "efd_recovered " << snap.recovered << "\n";
-  // Dataplane emulation. Exported even while disabled so dashboards can
-  // tell "no drops" apart from "not measuring".
-  os << "efd_dataplane_enabled " << (config_.dataplane.enabled ? 1 : 0)
-     << "\n"
-     << "efd_dataplane_steps_total " << snap.dataplane_steps << "\n"
-     << "efd_dataplane_flows_active " << snap.dataplane_flows_active
-     << "\n"
-     << "efd_dataplane_flows_moved_total " << snap.dataplane_flows_moved
-     << "\n"
-     << "efd_dataplane_reorder_events_total "
-     << snap.dataplane_reorder_events << "\n"
-     << "efd_dataplane_offered_bytes_total "
-     << snap.dataplane_offered_bytes << "\n"
-     << "efd_dataplane_delivered_bytes_total "
-     << snap.dataplane_delivered_bytes << "\n"
-     << "efd_dataplane_dropped_bytes_total "
-     << snap.dataplane_dropped_bytes << "\n"
-     << "efd_dataplane_queue_depth_bytes " << snap.dataplane_queued_bytes
-     << "\n";
-  {
-    std::lock_guard<std::mutex> lock(digest_mutex_);
-    if (!digests_.empty()) {
-      const CycleDigest& last = digests_.back();
-      os << "efd_last_allocation_wall_ns " << last.allocation_wall.count()
-         << "\n"
-         << "efd_last_ranking_cache_hit_rate "
-         << last.ranking_cache_hit_rate << "\n";
-    }
+  gauge(Gauge::bmp_decode_threads, decode_pool_ ? decode_pool_->size() : 0);
+  gauge(Gauge::rib_prefixes, collector_.rib().prefix_count());
+  gauge(Gauge::rib_routes, collector_.rib().route_count());
+  gauge(Gauge::overrides_active, controller_.active_overrides().size());
+  gauge(Gauge::failsafe_enabled, ladder_.config().enabled ? 1 : 0);
+  gauge(Gauge::alloc_incremental_enabled,
+        config_.controller.incremental ? 1 : 0);
+  gauge(Gauge::routers_known, health.routers_known);
+  gauge(Gauge::demand_age_ms,
+        health.demand_seen ? health.demand_age.millis_value() : -1);
+  gauge(Gauge::audit_enabled, config_.audit.enabled ? 1 : 0);
+  gauge(Gauge::dataplane_enabled, config_.dataplane.enabled ? 1 : 0);
+  std::lock_guard<std::mutex> lock(digest_mutex_);
+  if (!digests_.empty()) {
+    gauge(Gauge::last_allocation_wall_ns,
+          digests_.back().allocation_wall.count());
+    gauge(Gauge::last_ranking_cache_hit_rate,
+          digests_.back().ranking_cache_hit_rate);
   }
   return os.str();
 }

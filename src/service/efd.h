@@ -8,12 +8,14 @@
 // plaintext HTTP endpoint exposes /status and /metrics.
 //
 // All ingest and cycle state lives on the event-loop thread — the only
-// cross-thread surface is the atomic counters (and the mutex-guarded
-// cycle digests), which is what makes the daemon cheap to reason about
-// under TSan.
+// cross-thread surface is the counters (and the mutex-guarded cycle
+// digests), which is what makes the daemon cheap to reason about under
+// TSan. Each counter is one row of EF_EFD_COUNTERS below; the loop
+// thread publishes every counter write with release ordering after the
+// state change it reports, and ingest() loads every counter with acquire
+// (counters.h).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -36,11 +38,130 @@
 #include "runtime/thread_pool.h"
 #include "service/announcer.h"
 #include "service/auditor.h"
+#include "service/counters.h"
 #include "service/failsafe.h"
 #include "service/http.h"
 #include "telemetry/sflow.h"
 #include "telemetry/sflow_wire.h"
 #include "topology/pop.h"
+
+// efd's counters, one row each: IngestSnapshot field, /metrics name, help.
+// Written by the loop thread (counters.h); docs/OPERATIONS.md's metrics
+// reference is rendered from this table, EF_ANNOUNCER_COUNTERS and
+// EF_EFD_GAUGES.
+#define EF_EFD_COUNTERS(X)                                                    \
+  X(bmp_connections, "efd_bmp_connections_total", "BMP sessions accepted")   \
+  X(bmp_disconnects, "efd_bmp_disconnects_total",                             \
+    "BMP sessions closed (EOF, error or poisoned framing)")                   \
+  X(bmp_bytes, "efd_bmp_bytes_total",                                         \
+    "BMP bytes whose complete frames are applied to the RIB")                \
+  X(bmp_messages, "efd_bmp_messages_total", "BMP messages applied to the RIB") \
+  X(bmp_malformed, "efd_bmp_malformed_total",                                 \
+    "BMP frames skipped: undecodable, or sent before an Initiation")         \
+  X(bmp_decode_batches, "efd_bmp_decode_batches_total",                       \
+    "frame batches decoded off the event loop (--decode-threads)")           \
+  X(sflow_datagrams, "efd_sflow_datagrams_total",                             \
+    "sFlow datagrams received, EFS1 or not")                                 \
+  X(sflow_records, "efd_sflow_records_total", "EFS1 records decoded")         \
+  X(sflow_bytes, "efd_sflow_bytes_total", "sFlow datagram bytes received")    \
+  X(windows_closed, "efd_windows_closed_total",                               \
+    "demand windows closed by window-close markers")                         \
+  X(cycles_run, "efd_cycles_run_total",                                       \
+    "guarded controller cycles (run, hold or withdraw)")                     \
+  X(failsafe_mode, "efd_failsafe_mode",                                       \
+    "ladder mode: 0 healthy, 1 hold-last-good, 2 fail-static")               \
+  X(failsafe_holds, "efd_failsafe_holds_total", "cycles answered with hold") \
+  X(failsafe_fail_statics, "efd_failsafe_fail_statics_total",                 \
+    "cycles answered with withdraw")                                         \
+  X(failsafe_recoveries, "efd_failsafe_recoveries_total",                     \
+    "ladder transitions back to healthy")                                    \
+  X(failsafe_transitions, "efd_failsafe_transitions_total",                   \
+    "ladder mode changes")                                                   \
+  X(watchdog_aborts, "efd_watchdog_aborts_total",                             \
+    "cycles aborted by the wall-clock budget")                               \
+  X(churn_deferred, "efd_churn_deferred_total",                               \
+    "override changes pushed to a later cycle by --max-churn-frac")          \
+  X(alloc_incremental_cycles, "efd_alloc_incremental_cycles_total",           \
+    "cycles the incremental (delta) path ran")                               \
+  X(alloc_full_fallbacks, "efd_alloc_full_fallbacks_total",                   \
+    "incremental-mode cycles that fell back to a full recompute")            \
+  X(alloc_escalations, "efd_alloc_escalations_total",                         \
+    "overload-class flips seen by the incremental engine")                   \
+  X(alloc_dirty_prefixes, "efd_alloc_dirty_prefixes",                         \
+    "dirty prefixes in the last incremental-mode cycle")                     \
+  X(alloc_incremental_wall_ns, "efd_alloc_incremental_wall_ns",               \
+    "allocation wall time of the last delta cycle")                          \
+  X(alloc_full_wall_ns, "efd_alloc_full_wall_ns",                             \
+    "allocation wall time of the last full cycle in incremental mode")       \
+  X(routers_down, "efd_routers_down", "known BMP feeds currently down")      \
+  X(router_reconnects, "efd_router_reconnects_total",                         \
+    "BMP feeds that came back after a drop")                                 \
+  X(http_aborted_conns, "efd_http_aborted_conns_total",                       \
+    "HTTP clients gone mid-response")                                        \
+  X(audit_runs, "efd_audit_runs_total", "audit passes executed")             \
+  X(audit_divergent, "efd_audit_divergent_total",                             \
+    "audit passes that found any divergence")                                \
+  X(audit_missing, "efd_audit_missing_total",                                 \
+    "missing-class audit findings, cumulative")                              \
+  X(audit_extra, "efd_audit_extra_total",                                     \
+    "extra-stale audit findings, cumulative")                                \
+  X(audit_wrong_attrs, "efd_audit_wrong_attrs_total",                         \
+    "wrong-attrs audit findings, cumulative")                                \
+  X(audit_repairs_announce, "efd_audit_repairs_announce_total",               \
+    "audit repair re-announcements sent")                                    \
+  X(audit_repairs_withdraw, "efd_audit_repairs_withdraw_total",               \
+    "audit repair withdraws sent")                                           \
+  X(audit_unrepaired, "efd_audit_unrepaired_total",                           \
+    "audit findings deferred past the per-pass repair budget")               \
+  X(audit_divergent_streak, "efd_audit_divergent_streak",                     \
+    "consecutive divergent audits (0 = convergent)")                         \
+  X(audit_escalations, "efd_audit_escalations_total",                         \
+    "cycles where the audit rung decided the ladder mode")                   \
+  X(recovery_writes, "efd_recovery_writes_total",                             \
+    "warm-restart recovery snapshots written")                               \
+  X(recovered, "efd_recovered",                                               \
+    "1 when this process started from a recovery snapshot")                  \
+  X(dataplane_steps, "efd_dataplane_steps_total",                             \
+    "dataplane emulation steps (one per cycle)")                             \
+  X(dataplane_flows_active, "efd_dataplane_flows_active",                     \
+    "flows active in the last dataplane step")                               \
+  X(dataplane_flows_moved, "efd_dataplane_flows_moved_total",                 \
+    "flows moved to a different egress")                                     \
+  X(dataplane_reorder_events, "efd_dataplane_reorder_events_total",           \
+    "moved flows that had bytes in flight (reordering risk)")                \
+  X(dataplane_offered_bytes, "efd_dataplane_offered_bytes_total",             \
+    "bytes offered to the emulated interface queues")                        \
+  X(dataplane_delivered_bytes, "efd_dataplane_delivered_bytes_total",         \
+    "bytes the emulated interfaces delivered")                               \
+  X(dataplane_dropped_bytes, "efd_dataplane_dropped_bytes_total",             \
+    "bytes dropped at full emulated queues")                                 \
+  X(dataplane_queued_bytes, "efd_dataplane_queue_depth_bytes",                \
+    "bytes queued after the last dataplane step")
+
+// The announcer's rows re-exported through IngestSnapshot.
+#define EF_EFD_BGP_FIELD(field, ingest, ...) std::uint64_t ingest = 0;
+
+// Gauges read straight from loop-thread state when /metrics renders; no
+// IngestSnapshot field. Row: id, /metrics name, help.
+#define EF_EFD_GAUGES(X)                                                      \
+  X(bmp_decode_threads, "efd_bmp_decode_threads",                             \
+    "BMP decode pool workers (0 = decode inline)")                           \
+  X(rib_prefixes, "efd_rib_prefixes", "prefixes in the BMP-fed RIB")          \
+  X(rib_routes, "efd_rib_routes", "routes in the BMP-fed RIB")                \
+  X(overrides_active, "efd_overrides_active", "active override set size")     \
+  X(failsafe_enabled, "efd_failsafe_enabled", "1 when the ladder is armed")  \
+  X(alloc_incremental_enabled, "efd_alloc_incremental_enabled",               \
+    "1 when --incremental is armed")                                         \
+  X(routers_known, "efd_routers_known", "BMP feeds ever seen")                \
+  X(demand_age_ms, "efd_demand_age_ms",                                       \
+    "feed-time age of the newest demand window (-1: none yet)")              \
+  X(audit_enabled, "efd_audit_enabled", "1 when the auditor is armed")        \
+  X(dataplane_enabled, "efd_dataplane_enabled",                               \
+    "1 when dataplane emulation is on")                                      \
+  X(last_allocation_wall_ns, "efd_last_allocation_wall_ns",                   \
+    "allocation wall time of the last cycle (after the first cycle)")        \
+  X(last_ranking_cache_hit_rate, "efd_last_ranking_cache_hit_rate",           \
+    "ranking-cache hit rate of the last cycle (after the first cycle)")
 
 namespace ef::service {
 
@@ -179,75 +300,19 @@ class EfdService {
   /// don't.
   void shutdown_on_signals();
 
-  /// Cross-thread-readable ingest counters (plain snapshot).
+  /// Cross-thread-readable counters (plain snapshot): one field per
+  /// EF_EFD_COUNTERS row, then one per EF_ANNOUNCER_COUNTERS row (all
+  /// zero without announce_ports).
   struct IngestSnapshot {
-    std::uint64_t bmp_connections = 0;
-    std::uint64_t bmp_disconnects = 0;
-    std::uint64_t bmp_bytes = 0;
-    std::uint64_t bmp_messages = 0;
-    std::uint64_t bmp_malformed = 0;
-    std::uint64_t bmp_decode_batches = 0;  // off-loop decoded batches
-    std::uint64_t sflow_datagrams = 0;
-    std::uint64_t sflow_records = 0;
-    std::uint64_t sflow_bytes = 0;
-    std::uint64_t windows_closed = 0;
-    std::uint64_t cycles_run = 0;
-    // Degradation-ladder state (all zero while failsafe is disabled).
-    std::uint64_t failsafe_mode = 0;  // audit::FailsafeMode as integer
-    std::uint64_t failsafe_holds = 0;
-    std::uint64_t failsafe_fail_statics = 0;
-    std::uint64_t failsafe_recoveries = 0;
-    std::uint64_t failsafe_transitions = 0;
-    std::uint64_t watchdog_aborts = 0;
-    std::uint64_t churn_deferred = 0;
-    // Incremental allocation (all zero unless controller.incremental).
-    std::uint64_t alloc_incremental_cycles = 0;  // delta path ran
-    std::uint64_t alloc_full_fallbacks = 0;      // fell back to full
-    std::uint64_t alloc_escalations = 0;         // overload-class flips
-    std::uint64_t alloc_dirty_prefixes = 0;      // last cycle's dirty set
-    std::uint64_t alloc_incremental_wall_ns = 0;  // last delta cycle
-    std::uint64_t alloc_full_wall_ns = 0;         // last full cycle
-    std::uint64_t routers_down = 0;
-    std::uint64_t router_reconnects = 0;
-    std::uint64_t http_aborted_conns = 0;
-    // Announcer / BGP enforcement plane (all zero without announce_ports).
-    std::uint64_t bgp_sessions_configured = 0;
-    std::uint64_t bgp_sessions_established = 0;
-    std::uint64_t bgp_session_drops = 0;
-    std::uint64_t bgp_redials = 0;
-    std::uint64_t bgp_updates_sent = 0;
-    std::uint64_t bgp_withdraw_msgs = 0;
-    std::uint64_t bgp_prefixes_announced = 0;
-    // Injected BGP-path faults (zero without announce_faults).
-    std::uint64_t bgp_faults_dropped = 0;
-    std::uint64_t bgp_faults_duplicated = 0;
-    std::uint64_t bgp_faults_flapped = 0;
-    std::uint64_t bgp_withdraws_swallowed = 0;
-    // Enforcement audit (all zero unless audit.enabled).
-    std::uint64_t audit_runs = 0;
-    std::uint64_t audit_divergent = 0;
-    std::uint64_t audit_missing = 0;
-    std::uint64_t audit_extra = 0;
-    std::uint64_t audit_wrong_attrs = 0;
-    std::uint64_t audit_repairs_announce = 0;
-    std::uint64_t audit_repairs_withdraw = 0;
-    std::uint64_t audit_unrepaired = 0;
-    std::uint64_t audit_divergent_streak = 0;
-    std::uint64_t audit_escalations = 0;
-    // Warm-restart recovery (zero without recovery_path).
-    std::uint64_t recovery_writes = 0;
-    std::uint64_t recovered = 0;  // 1 = started from a recovery snapshot
-    // Dataplane emulation (all zero unless config.dataplane.enabled).
-    std::uint64_t dataplane_steps = 0;
-    std::uint64_t dataplane_flows_active = 0;
-    std::uint64_t dataplane_flows_moved = 0;
-    std::uint64_t dataplane_reorder_events = 0;
-    std::uint64_t dataplane_offered_bytes = 0;
-    std::uint64_t dataplane_delivered_bytes = 0;
-    std::uint64_t dataplane_dropped_bytes = 0;
-    std::uint64_t dataplane_queued_bytes = 0;
+    EF_EFD_COUNTERS(EF_COUNTER_FIELD)
+    EF_ANNOUNCER_COUNTERS(EF_EFD_BGP_FIELD)
   };
   IngestSnapshot ingest() const;
+
+  /// The /metrics reference as a markdown table, one row per exported
+  /// name with its help text, rendered from the counter and gauge tables.
+  /// docs/OPERATIONS.md embeds it verbatim.
+  static std::string metrics_reference();
 
   /// What one cycle decided — the unit the loopback integration test
   /// compares bitwise against the in-process controller.
@@ -279,10 +344,10 @@ class EfdService {
   std::vector<CycleDigest> digests() const;
 
   /// Blocks until `pred(ingest())` holds or `timeout` passes. The
-  /// feeder-side barrier: counters are published with release ordering
-  /// after the corresponding state change, so a satisfied predicate
-  /// means the daemon finished processing (and is idle if nothing else
-  /// was sent).
+  /// feeder-side barrier: every counter is published with release
+  /// ordering after the state change it reports and loaded with acquire,
+  /// so a satisfied predicate — on any counter — means the daemon
+  /// finished that processing (and is idle if nothing else was sent).
   bool wait_until(const std::function<bool(const IngestSnapshot&)>& pred,
                   std::chrono::milliseconds timeout) const;
   bool wait_for_bmp_bytes(std::uint64_t n,
@@ -438,51 +503,8 @@ class EfdService {
   /// outlives the connections it was spawned for.
   std::unique_ptr<runtime::ThreadPool> decode_pool_;
 
-  std::atomic<std::uint64_t> bmp_connections_{0};
-  std::atomic<std::uint64_t> bmp_disconnects_{0};
-  std::atomic<std::uint64_t> bmp_bytes_{0};
-  std::atomic<std::uint64_t> bmp_messages_{0};
-  std::atomic<std::uint64_t> bmp_malformed_{0};
-  std::atomic<std::uint64_t> bmp_decode_batches_{0};
-  std::atomic<std::uint64_t> sflow_datagrams_{0};
-  std::atomic<std::uint64_t> sflow_records_{0};
-  std::atomic<std::uint64_t> sflow_bytes_{0};
-  std::atomic<std::uint64_t> windows_closed_{0};
-  std::atomic<std::uint64_t> cycles_run_{0};
-  std::atomic<std::uint64_t> failsafe_mode_{0};
-  std::atomic<std::uint64_t> failsafe_holds_{0};
-  std::atomic<std::uint64_t> failsafe_fail_statics_{0};
-  std::atomic<std::uint64_t> failsafe_recoveries_{0};
-  std::atomic<std::uint64_t> failsafe_transitions_{0};
-  std::atomic<std::uint64_t> watchdog_aborts_{0};
-  std::atomic<std::uint64_t> churn_deferred_{0};
-  std::atomic<std::uint64_t> alloc_incremental_cycles_{0};
-  std::atomic<std::uint64_t> alloc_full_fallbacks_{0};
-  std::atomic<std::uint64_t> alloc_escalations_{0};
-  std::atomic<std::uint64_t> alloc_dirty_prefixes_{0};
-  std::atomic<std::uint64_t> alloc_incremental_wall_ns_{0};
-  std::atomic<std::uint64_t> alloc_full_wall_ns_{0};
-  std::atomic<std::uint64_t> routers_down_{0};
-  std::atomic<std::uint64_t> router_reconnects_{0};
-  std::atomic<std::uint64_t> audit_runs_{0};
-  std::atomic<std::uint64_t> audit_divergent_{0};
-  std::atomic<std::uint64_t> audit_missing_{0};
-  std::atomic<std::uint64_t> audit_extra_{0};
-  std::atomic<std::uint64_t> audit_wrong_attrs_{0};
-  std::atomic<std::uint64_t> audit_repairs_announce_{0};
-  std::atomic<std::uint64_t> audit_repairs_withdraw_{0};
-  std::atomic<std::uint64_t> audit_unrepaired_{0};
-  std::atomic<std::uint64_t> audit_streak_{0};
-  std::atomic<std::uint64_t> audit_escalations_{0};
-  std::atomic<std::uint64_t> recovery_writes_{0};
-  std::atomic<std::uint64_t> dataplane_steps_{0};
-  std::atomic<std::uint64_t> dataplane_flows_active_{0};
-  std::atomic<std::uint64_t> dataplane_flows_moved_{0};
-  std::atomic<std::uint64_t> dataplane_reorder_events_{0};
-  std::atomic<std::uint64_t> dataplane_offered_bytes_{0};
-  std::atomic<std::uint64_t> dataplane_delivered_bytes_{0};
-  std::atomic<std::uint64_t> dataplane_dropped_bytes_{0};
-  std::atomic<std::uint64_t> dataplane_queued_bytes_{0};
+  enum class Counter : std::size_t { EF_EFD_COUNTERS(EF_COUNTER_ID) kCount };
+  Counters<Counter> counters_;
 
   mutable std::mutex digest_mutex_;
   std::vector<CycleDigest> digests_;

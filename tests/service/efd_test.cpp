@@ -5,6 +5,9 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "bmp/wire.h"
@@ -297,6 +300,71 @@ TEST(EfdService, RealTimeCyclesRunWithoutAFeed) {
       5000ms));
   service.stop();
   EXPECT_GE(service.digests().size(), 3u);
+}
+
+/// The token after `prefix` on every line of `text` that starts with it,
+/// up to the first of `terminators` — the metric names of a /metrics
+/// body, or of the reference table's rows.
+std::set<std::string> names_after(const std::string& text,
+                                  const std::string& prefix,
+                                  const std::string& terminators) {
+  std::set<std::string> names;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::string rest = line.substr(prefix.size());
+    names.insert(rest.substr(0, rest.find_first_of(terminators)));
+  }
+  return names;
+}
+
+// docs/OPERATIONS.md embeds the metrics reference rendered from the
+// counter and gauge tables. The block must be current, and after one
+// cycle a live /metrics must export exactly the names it lists (the
+// efd_last_* gauges only appear once a cycle has run).
+TEST(EfdService, MetricsReferenceMatchesDocsAndLiveMetrics) {
+  const std::string reference = EfdService::metrics_reference();
+  std::ifstream file(std::string(EF_SOURCE_DIR) + "/docs/OPERATIONS.md");
+  ASSERT_TRUE(file.good());
+  std::stringstream doc;
+  doc << file.rdbuf();
+  const std::string text = doc.str();
+  const std::string begin = "<!-- metrics-reference:begin -->\n";
+  const std::size_t from = text.find(begin);
+  const std::size_t to = text.find("<!-- metrics-reference:end -->");
+  const std::string block =
+      from != std::string::npos && to != std::string::npos && from < to
+          ? text.substr(from + begin.size(), to - from - begin.size())
+          : "(markers missing)";
+  EXPECT_EQ(block, reference)
+      << "docs/OPERATIONS.md's metrics reference is stale; the block "
+         "between the markers should read:\n"
+      << reference;
+
+  const topology::World world = test_world();
+  topology::Pop pop(world, 0);
+  EfdConfig config = shadow_config();
+  config.real_time_cycles = true;
+  config.cycle_wall_period = 5ms;
+  EfdService service(pop, config);
+  service.start();
+  ASSERT_TRUE(service.wait_until(
+      [](const EfdService::IngestSnapshot& snap) {
+        return snap.cycles_run >= 1;
+      },
+      5000ms));
+  const std::string response = http_get(service.http_port(), "/metrics");
+  service.stop();
+  const std::string body = response.substr(response.find("\r\n\r\n") + 4);
+
+  const std::set<std::string> listed = names_after(reference, "| `", "`");
+  const std::set<std::string> live = names_after(body, "", " ");
+  for (const std::string& name : live) {
+    EXPECT_TRUE(listed.contains(name)) << name << " is not in the reference";
+  }
+  for (const std::string& name : listed) {
+    EXPECT_TRUE(live.contains(name)) << name << " is not on /metrics";
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 #!/bin/sh
-# Flag hygiene of the two daemon command lines.
+# Flag hygiene of efd and every eftool subcommand.
 #
 #   cli_flags_test.sh EFD EFTOOL
 #
-# efd and `eftool serve` must exit 2 with usage on a flag they never read
-# (a removed knob such as --threads, or a typo such as --incremnetal),
-# and must still start, and stop cleanly on SIGTERM, when given a full
-# set of valid flags. Every daemon binds ephemeral loopback ports only.
+# Each command must exit 2 with usage on a flag it never read (a removed
+# knob such as --threads, or a typo such as --incremnetal) before doing
+# any work. The daemons must still start, and stop cleanly on SIGTERM,
+# when given a full set of valid flags, and must print the incremental
+# ceiling they armed. Every daemon binds ephemeral loopback ports only.
 set -u
 efd=$1
 eftool=$2
@@ -26,6 +27,9 @@ expect_unknown_flag() {
 }
 
 expect_starts() {
+  # Emptied here, not only by the redirect below: the background job may
+  # not have truncated it yet when the poll loop first reads it.
+  : >"$tmp/out"
   "$@" >"$tmp/out" 2>&1 &
   pid=$!
   tries=0
@@ -51,11 +55,56 @@ expect_starts() {
   fi
 }
 
+# A daemon that starts must also have armed the ceiling it prints.
+expect_ceiling() {
+  want=$1
+  shift
+  expect_starts "$@"
+  if ! grep -q "dirty-fraction ceiling $want)" "$tmp/out"; then
+    echo "FAIL: '$*' did not print ceiling $want:"
+    cat "$tmp/out"
+    fail=1
+  fi
+}
+
+expect_bad_value() {
+  timeout 30 "$@" >"$tmp/out" 2>&1
+  rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q "invalid numeric value" "$tmp/out"; then
+    echo "FAIL: '$*' exited $rc; want 2 with 'invalid numeric value':"
+    cat "$tmp/out"
+    fail=1
+  fi
+}
+
 expect_unknown_flag "$efd" --threads 2
 expect_unknown_flag "$efd" --incremnetal
 expect_unknown_flag "$efd" --bmp 0 --sflow 0 --http 0 --incremental --bogus=1
 expect_unknown_flag "$eftool" serve --threads 2
 expect_unknown_flag "$eftool" serve --bmp 0 --incremnetal
+expect_unknown_flag "$eftool" world --sede 7
+expect_unknown_flag "$eftool" interfaces --pop 0 --drained
+expect_unknown_flag "$eftool" rib --pop 0 --limt 3
+expect_unknown_flag "$eftool" cycle --pop 1 --huor 6
+expect_unknown_flag "$eftool" run --pop 0 --hours 1 --flap 1
+expect_unknown_flag "$eftool" fleet --hours 1 --thread 2
+expect_unknown_flag "$eftool" mrt --pop 0 --out "$tmp/x.mrt" --format v2
+expect_unknown_flag "$eftool" record --pop 0 --hour 1 --out "$tmp/x.efj"
+expect_unknown_flag "$eftool" record --fleet --pop 0 --out "$tmp/x.efj"
+expect_unknown_flag "$eftool" replay "$tmp/x.efj" --verbos
+expect_unknown_flag "$eftool" whatif "$tmp/x.efj" --drain 2 --factr 0.5
+expect_unknown_flag "$eftool" pr --prot 10179
+expect_unknown_flag "$eftool" announce --ports 10179 --cont 3
+expect_unknown_flag "$eftool" feed "$tmp/x.efj" --bmp 1 --limt 3
+expect_unknown_flag "$eftool" chaos --fault-sed 7
+
+# --incremental=1 is the ceiling 1, not the bare flag's default 0.25.
+expect_ceiling 1 "$efd" --bmp 0 --sflow 0 --http 0 --incremental=1
+expect_ceiling 0.25 "$efd" --bmp 0 --sflow 0 --http 0 --incremental
+expect_bad_value "$efd" --incremental=1.5
+expect_ceiling 1 "$eftool" serve --bmp 0 --sflow 0 --http 0 --incremental=1
+expect_ceiling 0.25 "$eftool" serve --bmp 0 --sflow 0 --http 0 --incremental
+expect_bad_value "$eftool" serve --incremental=1.5
 
 expect_starts "$efd" --clients 56 --pops 4 --seed 7 --pop 0 \
   --bmp 0 --sflow 0 --http 0 --cycle-secs 30 --sample-rate 10 \

@@ -17,10 +17,8 @@
 //
 // Signals: SIGINT/SIGTERM shut down in an orderly way through the event
 // loop's signalfd. docs/OPERATIONS.md covers the operator workflow.
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/controller.h"
@@ -33,39 +31,6 @@
 namespace {
 
 using namespace ef;
-
-[[noreturn]] void die_bad_value(const std::string& key,
-                                const std::string& value) {
-  std::fprintf(stderr, "efd: invalid numeric value '%s' for --%s\n",
-               value.c_str(), key.c_str());
-  std::exit(2);
-}
-
-struct Args : tools::FlagMap {
-  long num(const std::string& key, long fallback) const {
-    const std::string* raw = find(key);
-    if (raw == nullptr) return fallback;
-    try {
-      std::size_t consumed = 0;
-      const long value = std::stol(*raw, &consumed);
-      if (consumed != raw->size()) die_bad_value(key, *raw);
-      return value;
-    } catch (const std::exception&) {
-      die_bad_value(key, *raw);
-    }
-  }
-  /// Strict finite double: junk, trailing characters, inf, nan exit 2.
-  double real(const std::string& key, double fallback) const {
-    const std::string* raw = find(key);
-    if (raw == nullptr) return fallback;
-    char* end = nullptr;
-    const double value = std::strtod(raw->c_str(), &end);
-    if (end == raw->c_str() || *end != '\0' || !std::isfinite(value)) {
-      die_bad_value(key, *raw);
-    }
-    return value;
-  }
-};
 
 int usage() {
   std::fprintf(stderr,
@@ -101,16 +66,16 @@ int usage() {
   return 2;
 }
 
-std::uint16_t port_arg(const Args& args, const std::string& key) {
+std::uint16_t port_arg(const tools::FlagMap& args, const std::string& key) {
   const long port = args.num(key, 0);
-  if (port < 0 || port > 65535) die_bad_value(key, args.get(key, ""));
+  if (port < 0 || port > 65535) args.bad_value(key);
   return static_cast<std::uint16_t>(port);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
+  tools::FlagMap args("efd");
   for (int i = 1; i < argc; ++i) {
     std::string key = argv[i];
     if (key == "--help" || key == "-h") return usage();
@@ -157,36 +122,22 @@ int main(int argc, char** argv) {
   const long decode_threads = args.num("decode-threads", 0);
   if (decode_threads < 0 ||
       decode_threads > static_cast<long>(runtime::ThreadPool::kMaxThreads)) {
-    die_bad_value("decode-threads", args.get("decode-threads", ""));
+    args.bad_value("decode-threads");
   }
   config.decode_threads = static_cast<unsigned>(decode_threads);
-  if (args.has("incremental")) {
-    config.controller.incremental = true;
-    const std::string raw = args.get("incremental", "1");
-    if (raw != "1") {  // a bare flag keeps the default ceiling
-      char* end = nullptr;
-      const double frac = std::strtod(raw.c_str(), &end);
-      if (end == raw.c_str() || *end != '\0' || !std::isfinite(frac) ||
-          frac < 0.0 || frac > 1.0) {
-        die_bad_value("incremental", raw);
-      }
-      config.controller.incremental_dirty_ceiling = frac;
-    }
-  }
+  tools::apply_incremental_flag(args, config.controller);
   // Dataplane knobs are validated even while --dataplane is absent: a
   // typo'd value should fail loudly, not silently arm nothing.
   config.dataplane.enabled = args.has("dataplane");
   const double queue_ms = args.real("dp-queue-ms", 50.0);
-  if (queue_ms < 0.0) die_bad_value("dp-queue-ms", args.get("dp-queue-ms", ""));
+  if (queue_ms < 0.0) args.bad_value("dp-queue-ms");
   config.dataplane.queue_depth_ms = queue_ms;
   const long dp_slots = args.num("dp-slots", 16);
-  if (dp_slots < 1 || dp_slots > 4096) {
-    die_bad_value("dp-slots", args.get("dp-slots", ""));
-  }
+  if (dp_slots < 1 || dp_slots > 4096) args.bad_value("dp-slots");
   config.dataplane.ecmp_slots = static_cast<std::uint32_t>(dp_slots);
   const double elephant_frac = args.real("dp-elephant-frac", 0.08);
   if (elephant_frac < 0.0 || elephant_frac > 1.0) {
-    die_bad_value("dp-elephant-frac", args.get("dp-elephant-frac", ""));
+    args.bad_value("dp-elephant-frac");
   }
   config.dataplane.flows.elephant_fraction = elephant_frac;
   config.dataplane.seed = static_cast<std::uint64_t>(args.num("seed", 42));
@@ -196,16 +147,11 @@ int main(int argc, char** argv) {
                          args.has("audit-interval") ||
                          args.has("audit-max-repairs");
   const long audit_interval = args.num("audit-interval", 1);
-  if (audit_interval < 1) {
-    die_bad_value("audit-interval", args.get("audit-interval", ""));
-  }
+  if (audit_interval < 1) args.bad_value("audit-interval");
   config.audit.interval_cycles =
       static_cast<std::uint32_t>(audit_interval);
   const long audit_repairs = args.num("audit-max-repairs", 64);
-  if (audit_repairs < 0) {
-    die_bad_value("audit-max-repairs",
-                  args.get("audit-max-repairs", ""));
-  }
+  if (audit_repairs < 0) args.bad_value("audit-max-repairs");
   config.audit.max_repairs = static_cast<std::uint64_t>(audit_repairs);
   config.recovery_path = args.get("recovery-file", "");
   config.recover = args.has("recover");
@@ -222,6 +168,10 @@ int main(int argc, char** argv) {
   std::printf("efd: pop %s (%zu interfaces), %s enforcement\n",
               pop.name().c_str(), pop.def().interfaces.size(),
               args.has("inject") ? "bgp-injection" : "shadow");
+  if (config.controller.incremental) {
+    std::printf("efd: incremental allocation on (dirty-fraction ceiling %g)\n",
+                config.controller.incremental_dirty_ceiling);
+  }
   if (config.audit.enabled) {
     std::printf("efd: enforcement audit on (every %u cycle(s), max %ju "
                 "repair(s)/pass)\n",

@@ -64,42 +64,18 @@ namespace {
 
 using namespace ef;
 
-[[noreturn]] void die_bad_value(const std::string& key,
-                                const std::string& value) {
-  std::fprintf(stderr, "eftool: invalid numeric value '%s' for --%s\n",
-               value.c_str(), key.c_str());
-  std::exit(2);
-}
-
 int usage();
 
 struct Args : tools::FlagMap {
+  Args() : FlagMap("eftool") {}
   std::string command;
   std::vector<std::string> positionals;  // non-flag operands (e.g. FILE)
 
-  long num(const std::string& key, long fallback) const {
-    const std::string* raw = find(key);
-    if (raw == nullptr) return fallback;
-    try {
-      std::size_t consumed = 0;
-      const long value = std::stol(*raw, &consumed);
-      if (consumed != raw->size()) die_bad_value(key, *raw);
-      return value;
-    } catch (const std::exception&) {
-      die_bad_value(key, *raw);
-    }
-  }
-  double real(const std::string& key, double fallback) const {
-    const std::string* raw = find(key);
-    if (raw == nullptr) return fallback;
-    try {
-      std::size_t consumed = 0;
-      const double value = std::stod(*raw, &consumed);
-      if (consumed != raw->size()) die_bad_value(key, *raw);
-      return value;
-    } catch (const std::exception&) {
-      die_bad_value(key, *raw);
-    }
+  /// True (after naming each one) when a flag was given that the command
+  /// never read. Every command checks this once it has read all of its
+  /// flags and before it does any work, and then exits 2 with usage.
+  bool unread_flags() const {
+    return !all_read(("eftool " + command).c_str());
   }
 };
 
@@ -122,16 +98,14 @@ Args parse_args(int argc, char** argv) {
 double nonneg_real(const Args& args, const std::string& key,
                    double fallback) {
   const double value = args.real(key, fallback);
-  if (!std::isfinite(value) || value < 0.0) {
-    die_bad_value(key, args.get(key, ""));
-  }
+  if (value < 0.0) args.bad_value(key);
   return value;
 }
 
 /// Strict probability/fraction option: finite, within [0, 1], or exit 2.
 double unit_real(const Args& args, const std::string& key, double fallback) {
   const double value = nonneg_real(args, key, fallback);
-  if (value > 1.0) die_bad_value(key, args.get(key, ""));
+  if (value > 1.0) args.bad_value(key);
   return value;
 }
 
@@ -152,22 +126,6 @@ void apply_failsafe_flags(const Args& args, service::EfdConfig& config) {
   config.journal_path = args.get("journal", "");
 }
 
-/// --incremental[=FRAC]: arms the incremental (delta) allocation path.
-/// The optional value is the dirty-fraction ceiling past which a cycle
-/// falls back to a full recompute — a strict unit fraction (NaN,
-/// negative, or > 1 exit 2, like every other threshold flag). A bare
-/// --incremental keeps the ControllerConfig default ceiling. Execution
-/// knob only: decisions are bitwise identical either way.
-void apply_incremental_flags(const Args& args,
-                             core::ControllerConfig& config) {
-  if (!args.has("incremental")) return;
-  config.incremental = true;
-  if (args.get("incremental", "1") != "1") {
-    config.incremental_dirty_ceiling =
-        unit_real(args, "incremental", config.incremental_dirty_ceiling);
-  }
-}
-
 /// Shared dataplane flags for `run`, `record`, and `serve`. Knobs are
 /// validated even while --dataplane is absent (a typo'd --dp-queue-ms
 /// should fail the invocation), matching the failsafe-flag convention.
@@ -183,10 +141,10 @@ void apply_dataplane_flags(const Args& args,
   config.seed = seed;
   config.queue_depth_ms = nonneg_real(args, "dp-queue-ms", 50.0);
   const long slots = args.num("dp-slots", 16);
-  if (slots < 1 || slots > 4096) die_bad_value("dp-slots", args.get("dp-slots", ""));
+  if (slots < 1 || slots > 4096) args.bad_value("dp-slots");
   config.ecmp_slots = static_cast<std::uint32_t>(slots);
   const long wcmp = args.num("dp-wcmp", 1);
-  if (wcmp < 1 || wcmp > 64) die_bad_value("dp-wcmp", args.get("dp-wcmp", ""));
+  if (wcmp < 1 || wcmp > 64) args.bad_value("dp-wcmp");
   config.wcmp_paths = static_cast<std::uint32_t>(wcmp);
   config.flows.elephant_fraction = unit_real(args, "dp-elephant-frac", 0.08);
 }
@@ -205,14 +163,10 @@ void apply_audit_flags(const Args& args, service::EfdConfig& config) {
                          args.has("audit-interval") ||
                          args.has("audit-max-repairs");
   const long interval = args.num("audit-interval", 1);
-  if (interval < 1) {
-    die_bad_value("audit-interval", args.get("audit-interval", ""));
-  }
+  if (interval < 1) args.bad_value("audit-interval");
   config.audit.interval_cycles = static_cast<std::uint32_t>(interval);
   const long repairs = args.num("audit-max-repairs", 64);
-  if (repairs < 0) {
-    die_bad_value("audit-max-repairs", args.get("audit-max-repairs", ""));
-  }
+  if (repairs < 0) args.bad_value("audit-max-repairs");
   config.audit.max_repairs = static_cast<std::uint64_t>(repairs);
   config.recovery_path = args.get("recovery-file", "");
   config.recover = args.has("recover");
@@ -243,7 +197,7 @@ void apply_bgp_fault_flags(const Args& args, service::EfdConfig& config,
     const std::string item = spec.substr(pos, comma - pos);
     pos = comma + 1;
     const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) die_bad_value("bgp-faults", spec);
+    if (eq == std::string::npos) args.bad_value("bgp-faults");
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "flap") {
@@ -251,11 +205,11 @@ void apply_bgp_fault_flags(const Args& args, service::EfdConfig& config,
       try {
         std::size_t consumed = 0;
         index = std::stol(value, &consumed);
-        if (consumed != value.size()) die_bad_value("bgp-faults", spec);
+        if (consumed != value.size()) args.bad_value("bgp-faults");
       } catch (const std::exception&) {
-        die_bad_value("bgp-faults", spec);
+        args.bad_value("bgp-faults");
       }
-      if (index < 0) die_bad_value("bgp-faults", spec);
+      if (index < 0) args.bad_value("bgp-faults");
       script.push_back({static_cast<std::uint64_t>(index),
                         io::FaultKind::kDisconnect});
       continue;
@@ -264,12 +218,12 @@ void apply_bgp_fault_flags(const Args& args, service::EfdConfig& config,
     try {
       std::size_t consumed = 0;
       rate = std::stod(value, &consumed);
-      if (consumed != value.size()) die_bad_value("bgp-faults", spec);
+      if (consumed != value.size()) args.bad_value("bgp-faults");
     } catch (const std::exception&) {
-      die_bad_value("bgp-faults", spec);
+      args.bad_value("bgp-faults");
     }
     if (!std::isfinite(rate) || rate < 0.0 || rate > 1.0) {
-      die_bad_value("bgp-faults", spec);
+      args.bad_value("bgp-faults");
     }
     if (key == "drop") {
       faults.drop = rate;
@@ -278,7 +232,7 @@ void apply_bgp_fault_flags(const Args& args, service::EfdConfig& config,
     } else if (key == "swallow") {
       faults.swallow_withdraw = rate;
     } else {
-      die_bad_value("bgp-faults", spec);
+      args.bad_value("bgp-faults");
     }
   }
   config.announce_faults = faults;
@@ -289,22 +243,29 @@ void apply_bgp_fault_flags(const Args& args, service::EfdConfig& config,
 /// negatives.
 sim::RunOptions run_options(const Args& args) {
   const long threads = args.num("threads", 0);
-  if (threads < 0) die_bad_value("threads", args.get("threads", ""));
+  if (threads < 0) args.bad_value("threads");
   sim::RunOptions options;
   options.threads = static_cast<unsigned>(threads);
   return options;
 }
 
-topology::World make_world(const Args& args) {
+/// The generated world's flags (--clients, --pops, --seed).
+topology::WorldConfig world_flags(const Args& args) {
   topology::WorldConfig config;
   config.num_clients = static_cast<int>(args.num("clients", 56));
   config.num_pops = static_cast<int>(args.num("pops", 4));
   config.seed = static_cast<std::uint64_t>(args.num("seed", 42));
-  return topology::World::generate(config);
+  return config;
+}
+
+std::size_t pop_flag(const Args& args) {
+  return static_cast<std::size_t>(args.num("pop", 0));
 }
 
 int cmd_world(const Args& args) {
-  const topology::World world = make_world(args);
+  const topology::WorldConfig world_config = world_flags(args);
+  if (args.unread_flags()) return usage();
+  const topology::World world = topology::World::generate(world_config);
   std::printf("world: %zu clients, %zu PoPs (seed %llu)\n\n",
               world.clients().size(), world.pops().size(),
               static_cast<unsigned long long>(world.config().seed));
@@ -333,8 +294,10 @@ int cmd_world(const Args& args) {
 }
 
 int cmd_interfaces(const Args& args) {
-  const topology::World world = make_world(args);
-  const std::size_t p = static_cast<std::size_t>(args.num("pop", 0));
+  const topology::WorldConfig world_config = world_flags(args);
+  const std::size_t p = pop_flag(args);
+  if (args.unread_flags()) return usage();
+  const topology::World world = topology::World::generate(world_config);
   topology::Pop pop(world, p);
   analysis::TablePrinter table({"id", "name", "role", "capacity", "drained"},
                                {6, 18, 14, 12, 8});
@@ -353,12 +316,16 @@ int cmd_interfaces(const Args& args) {
 }
 
 int cmd_rib(const Args& args) {
-  const topology::World world = make_world(args);
-  const std::size_t p = static_cast<std::size_t>(args.num("pop", 0));
+  const topology::WorldConfig world_config = world_flags(args);
+  const std::size_t p = pop_flag(args);
+  const std::string* prefix_flag = args.find("prefix");
+  const long limit = args.num("limit", 20);
+  if (args.unread_flags()) return usage();
+  const topology::World world = topology::World::generate(world_config);
   topology::Pop pop(world, p);
 
-  if (args.has("prefix")) {
-    const auto prefix = net::Prefix::parse(args.get("prefix", ""));
+  if (prefix_flag != nullptr) {
+    const auto prefix = net::Prefix::parse(*prefix_flag);
     if (!prefix) {
       std::fprintf(stderr, "bad prefix\n");
       return 2;
@@ -376,7 +343,6 @@ int cmd_rib(const Args& args) {
     return 0;
   }
 
-  const long limit = args.num("limit", 20);
   std::printf("%zu prefixes, %zu routes total; first %ld best routes:\n",
               pop.collector().rib().prefix_count(),
               pop.collector().rib().route_count(), limit);
@@ -390,17 +356,19 @@ int cmd_rib(const Args& args) {
 }
 
 int cmd_cycle(const Args& args) {
-  const topology::World world = make_world(args);
-  const std::size_t p = static_cast<std::size_t>(args.num("pop", 0));
-  topology::Pop pop(world, p);
-
+  const topology::WorldConfig world_config = world_flags(args);
+  const std::size_t p = pop_flag(args);
   core::ControllerConfig config;
   config.allocator.allow_prefix_splitting = args.has("split");
+  const double hour = args.real("hour", 0);
+  if (args.unread_flags()) return usage();
+  const topology::World world = topology::World::generate(world_config);
+  topology::Pop pop(world, p);
+
   core::Controller controller(pop, config);
   controller.connect();
 
   workload::DemandGenerator gen(world, p, {});
-  const double hour = args.real("hour", 0);
   const telemetry::DemandMatrix demand =
       gen.baseline(net::SimTime::hours(hour));
 
@@ -425,18 +393,18 @@ int cmd_cycle(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
-  const topology::World world = make_world(args);
-  const std::size_t p = static_cast<std::size_t>(args.num("pop", 0));
-  topology::Pop pop(world, p);
-
+  const topology::WorldConfig world_config = world_flags(args);
+  const std::size_t p = pop_flag(args);
   sim::SimulationConfig config;
   config.duration = net::SimTime::hours(args.real("hours", 24));
   config.step = net::SimTime::seconds(60);
   config.controller_enabled = !args.has("no-controller");
   config.controller.cycle_period = net::SimTime::seconds(60);
   config.peer_flap_rate_per_hour = args.real("flaps", 0);
-  apply_dataplane_flags(args, config.dataplane,
-                        static_cast<std::uint64_t>(args.num("seed", 42)));
+  apply_dataplane_flags(args, config.dataplane, world_config.seed);
+  if (args.unread_flags()) return usage();
+  const topology::World world = topology::World::generate(world_config);
+  topology::Pop pop(world, p);
 
   analysis::UtilizationTracker tracker(pop.interfaces());
   analysis::DetourTracker detours;
@@ -491,12 +459,15 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_fleet(const Args& args) {
-  const topology::World world = make_world(args);
+  const topology::WorldConfig world_config = world_flags(args);
   sim::SimulationConfig config;
   config.duration = net::SimTime::hours(args.real("hours", 24));
   config.step = net::SimTime::seconds(60);
   config.controller_enabled = !args.has("no-controller");
   config.controller.cycle_period = net::SimTime::seconds(60);
+  const sim::RunOptions options = run_options(args);
+  if (args.unread_flags()) return usage();
+  const topology::World world = topology::World::generate(world_config);
 
   sim::Fleet fleet(world, config);
   std::vector<net::Bandwidth> overload(fleet.size());
@@ -511,7 +482,7 @@ int cmd_fleet(const Args& args) {
               std::max(max_overrides[p], record.controller->overrides_active);
         }
       },
-      run_options(args));
+      options);
 
   analysis::TablePrinter table(
       {"pop", "peak-demand", "max-overrides", "overload-sum"}, {8, 13, 14, 14});
@@ -525,14 +496,16 @@ int cmd_fleet(const Args& args) {
 }
 
 int cmd_mrt(const Args& args) {
-  const topology::World world = make_world(args);
-  const std::size_t p = static_cast<std::size_t>(args.num("pop", 0));
-  topology::Pop pop(world, p);
+  const topology::WorldConfig world_config = world_flags(args);
+  const std::size_t p = pop_flag(args);
   const std::string path = args.get("out", "");
+  if (args.unread_flags()) return usage();
   if (path.empty()) {
     std::fprintf(stderr, "mrt requires --out FILE\n");
     return 2;
   }
+  const topology::World world = topology::World::generate(world_config);
+  topology::Pop pop(world, p);
 
   const bgp::mrt::TableDump dump = bgp::mrt::from_rib(
       pop.collector().rib(),
@@ -572,18 +545,9 @@ std::string pop_journal_path(const std::string& base, std::size_t pop) {
 /// a writer: snapshots of one PoP are totally ordered by the per-step
 /// barrier, and the resulting files are bitwise-identical for any
 /// --threads value.
-int cmd_record_fleet(const Args& args, const std::string& path) {
-  const topology::World world = make_world(args);
-
-  sim::SimulationConfig config;
-  config.duration = net::SimTime::hours(args.real("hours", 24));
-  config.step = net::SimTime::seconds(60);
-  config.controller.cycle_period = net::SimTime::seconds(60);
-  config.use_sflow_estimate = args.has("sflow");
-  config.peer_flap_rate_per_hour = args.real("flaps", 0);
-  apply_dataplane_flags(args, config.dataplane,
-                        static_cast<std::uint64_t>(args.num("seed", 42)));
-
+int cmd_record_fleet(const topology::World& world,
+                     const sim::SimulationConfig& config,
+                     const sim::RunOptions& options, const std::string& path) {
   sim::Fleet fleet(world, config);
   std::vector<std::unique_ptr<audit::JournalWriter>> writers;
   writers.reserve(fleet.size());
@@ -602,7 +566,7 @@ int cmd_record_fleet(const Args& args, const std::string& path) {
     writers.push_back(std::move(writer));
   }
 
-  fleet.run([](std::size_t, const sim::StepRecord&) {}, run_options(args));
+  fleet.run([](std::size_t, const sim::StepRecord&) {}, options);
 
   std::size_t records = 0;
   std::size_t bytes = 0;
@@ -626,23 +590,26 @@ int cmd_record_fleet(const Args& args, const std::string& path) {
 
 int cmd_record(const Args& args) {
   const std::string path = args.get("out", "");
-  if (path.empty()) {
-    std::fprintf(stderr, "record requires --out FILE\n");
-    return 2;
-  }
-  if (args.has("fleet")) return cmd_record_fleet(args, path);
-  const topology::World world = make_world(args);
-  const std::size_t p = static_cast<std::size_t>(args.num("pop", 0));
-  topology::Pop pop(world, p);
-
+  const topology::WorldConfig world_config = world_flags(args);
   sim::SimulationConfig config;
   config.duration = net::SimTime::hours(args.real("hours", 24));
   config.step = net::SimTime::seconds(60);
   config.controller.cycle_period = net::SimTime::seconds(60);
   config.use_sflow_estimate = args.has("sflow");
   config.peer_flap_rate_per_hour = args.real("flaps", 0);
-  apply_dataplane_flags(args, config.dataplane,
-                        static_cast<std::uint64_t>(args.num("seed", 42)));
+  apply_dataplane_flags(args, config.dataplane, world_config.seed);
+  // --pop selects the single PoP; --threads sizes the --fleet pool.
+  const bool fleet = args.has("fleet");
+  const std::size_t p = fleet ? 0 : pop_flag(args);
+  const sim::RunOptions options = fleet ? run_options(args) : sim::RunOptions{};
+  if (args.unread_flags()) return usage();
+  if (path.empty()) {
+    std::fprintf(stderr, "record requires --out FILE\n");
+    return 2;
+  }
+  const topology::World world = topology::World::generate(world_config);
+  if (fleet) return cmd_record_fleet(world, config, options, path);
+  topology::Pop pop(world, p);
 
   audit::JournalWriter writer(path);
   if (!writer.ok()) {
@@ -735,10 +702,11 @@ int cmd_replay(const Args& args) {
     std::fprintf(stderr, "replay requires a journal FILE operand\n");
     return 2;
   }
+  const bool verbose = args.has("verbose");
+  if (args.unread_flags()) return usage();
   SnapshotStream stream(args.positionals.front());
   if (!stream.opened()) return 2;
 
-  const bool verbose = args.has("verbose");
   std::size_t cycles = 0;
   std::size_t drifted = 0;
   while (auto snapshot = stream.next()) {
@@ -786,11 +754,9 @@ int cmd_whatif(const Args& args) {
   };
   iface_mutation("drain", Kind::kDrain);
   iface_mutation("undrain", Kind::kUndrain);
-  if (args.has("cut-capacity")) {
-    // --cut-capacity I --factor F: scale interface I's capacity by F.
-    iface_mutation("cut-capacity", Kind::kScaleCapacity,
-                   args.real("factor", 0.5));
-  }
+  // --cut-capacity I --factor F: scale interface I's capacity by F.
+  iface_mutation("cut-capacity", Kind::kScaleCapacity,
+                 args.real("factor", 0.5));
   if (args.has("scale-demand")) {
     mutations.push_back({Kind::kScaleDemand, {}, args.real("scale-demand", 1)});
   }
@@ -813,6 +779,11 @@ int cmd_whatif(const Args& args) {
   if (args.has("split")) {
     mutations.push_back({Kind::kAllowSplitting, {}, 1});
   }
+  const bool one_cycle = args.has("cycle");
+  const std::size_t wanted =
+      one_cycle ? static_cast<std::size_t>(args.num("cycle", 0)) : 0;
+  const bool verbose = args.has("verbose") || one_cycle;
+  if (args.unread_flags()) return usage();
   if (mutations.empty()) {
     std::fprintf(stderr,
                  "whatif requires at least one mutation flag: --drain I, "
@@ -824,9 +795,6 @@ int cmd_whatif(const Args& args) {
 
   SnapshotStream stream(args.positionals.front());
   if (!stream.opened()) return 2;
-  const bool one_cycle = args.has("cycle");
-  const std::size_t wanted =
-      one_cycle ? static_cast<std::size_t>(args.num("cycle", 0)) : 0;
 
   std::printf("what-if:");
   for (const audit::Mutation& m : mutations) {
@@ -880,7 +848,7 @@ int cmd_whatif(const Args& args) {
         peak_delta[id] = delta;
       }
     }
-    if (one_cycle || args.has("verbose")) {
+    if (verbose) {
       std::printf("  t=%.1fh: %s\n", snapshot->when.seconds_value() / 3600.0,
                   report.to_string().c_str());
     }
@@ -912,7 +880,7 @@ int cmd_whatif(const Args& args) {
 
 std::uint16_t port_opt(const Args& args, const std::string& key) {
   const long port = args.num(key, 0);
-  if (port < 0 || port > 65535) die_bad_value(key, args.get(key, ""));
+  if (port < 0 || port > 65535) args.bad_value(key);
   return static_cast<std::uint16_t>(port);
 }
 
@@ -933,10 +901,10 @@ std::vector<std::uint16_t> ports_list_opt(const Args& args,
     try {
       port = std::stol(item, &consumed);
     } catch (...) {
-      die_bad_value(key, text);
+      args.bad_value(key);
     }
     if (consumed != item.size() || port < 1 || port > 65535) {
-      die_bad_value(key, text);
+      args.bad_value(key);
     }
     ports.push_back(static_cast<std::uint16_t>(port));
     pos = comma + 1;
@@ -950,16 +918,14 @@ std::vector<std::uint16_t> ports_list_opt(const Args& args,
 std::uint16_t hold_secs_opt(const Args& args, const std::string& key,
                             long fallback) {
   const long secs = args.num(key, fallback);
-  if (secs < 0 || secs > 65535 || secs == 1 || secs == 2) {
-    die_bad_value(key, args.get(key, ""));
-  }
+  if (secs < 0 || secs > 65535 || secs == 1 || secs == 2) args.bad_value(key);
   return static_cast<std::uint16_t>(secs);
 }
 
 std::uint32_t u32_opt(const Args& args, const std::string& key,
                       std::uint32_t fallback) {
   const long value = args.num(key, static_cast<long>(fallback));
-  if (value < 0 || value > 0xffffffffL) die_bad_value(key, args.get(key, ""));
+  if (value < 0 || value > 0xffffffffL) args.bad_value(key);
   return static_cast<std::uint32_t>(value);
 }
 
@@ -975,15 +941,8 @@ int cmd_serve(const Args& args) {
   sigaddset(&sigs, SIGTERM);
   sigprocmask(SIG_BLOCK, &sigs, nullptr);
 
-  const topology::World world = make_world(args);
-  const std::size_t p = static_cast<std::size_t>(args.num("pop", 0));
-  if (p >= world.pops().size()) {
-    std::fprintf(stderr, "eftool serve: --pop %zu out of range (%zu PoPs)\n",
-                 p, world.pops().size());
-    return 2;
-  }
-  topology::Pop pop(world, p);
-
+  const topology::WorldConfig world_config = world_flags(args);
+  const std::size_t p = pop_flag(args);
   service::EfdConfig config;
   config.bmp_port = port_opt(args, "bmp");
   config.sflow_port = port_opt(args, "sflow");
@@ -1001,19 +960,24 @@ int cmd_serve(const Args& args) {
   const long decode_threads = args.num("decode-threads", 0);
   if (decode_threads < 0 ||
       decode_threads > static_cast<long>(runtime::ThreadPool::kMaxThreads)) {
-    die_bad_value("decode-threads", args.get("decode-threads", ""));
+    args.bad_value("decode-threads");
   }
   config.decode_threads = static_cast<unsigned>(decode_threads);
-  apply_incremental_flags(args, config.controller);
+  tools::apply_incremental_flag(args, config.controller);
   apply_failsafe_flags(args, config);
-  apply_dataplane_flags(args, config.dataplane,
-                        static_cast<std::uint64_t>(args.num("seed", 42)));
+  apply_dataplane_flags(args, config.dataplane, world_config.seed);
   config.announce_ports = ports_list_opt(args, "announce");
   config.announce_hold_secs = hold_secs_opt(args, "announce-hold-secs", 90);
   apply_audit_flags(args, config);
-  apply_bgp_fault_flags(args, config,
-                        static_cast<std::uint64_t>(args.num("seed", 42)));
-  if (!args.all_read("eftool serve")) return usage();
+  apply_bgp_fault_flags(args, config, world_config.seed);
+  if (args.unread_flags()) return usage();
+  const topology::World world = topology::World::generate(world_config);
+  if (p >= world.pops().size()) {
+    std::fprintf(stderr, "eftool serve: --pop %zu out of range (%zu PoPs)\n",
+                 p, world.pops().size());
+    return 2;
+  }
+  topology::Pop pop(world, p);
 
   service::EfdService service(pop, config);
   service.shutdown_on_signals();
@@ -1041,6 +1005,12 @@ int cmd_serve(const Args& args) {
         "elephant frac %g)\n",
         config.dataplane.queue_depth_ms, config.dataplane.ecmp_slots,
         config.dataplane.flows.elephant_fraction);
+  }
+  if (config.controller.incremental) {
+    std::printf(
+        "eftool serve: incremental allocation on (dirty-fraction ceiling "
+        "%g)\n",
+        config.controller.incremental_dirty_ceiling);
   }
   if (config.audit.enabled) {
     std::printf(
@@ -1076,11 +1046,12 @@ int cmd_pr(const Args& args) {
   service::PeeringRouterService::Config config;
   config.bgp_port = port_opt(args, "port");
   const std::uint32_t local_as = u32_opt(args, "as", 65000);
-  if (local_as == 0) die_bad_value("as", args.get("as", ""));
+  if (local_as == 0) args.bad_value("as");
   config.local_as = bgp::AsNumber(local_as);
   config.peer_as = bgp::AsNumber(u32_opt(args, "peer-as", 0));
   config.router_id = bgp::RouterId(u32_opt(args, "router-id", 0x7f0000fe));
   config.hold_time_secs = hold_secs_opt(args, "hold-secs", 90);
+  if (args.unread_flags()) return usage();
 
   service::PeeringRouterService service(config);
   service.shutdown_on_signals();
@@ -1106,19 +1077,13 @@ int cmd_pr(const Args& args) {
 /// announces a synthetic override set, lingers, withdraws, exits.
 int cmd_announce(const Args& args) {
   const std::vector<std::uint16_t> ports = ports_list_opt(args, "ports");
-  if (ports.empty()) {
-    std::fprintf(stderr, "eftool announce: --ports P1[,P2...] is required\n");
-    return 2;
-  }
   const long count = args.num("count", 8);
-  if (count < 1 || count > 65536) die_bad_value("count", args.get("count", ""));
+  if (count < 1 || count > 65536) args.bad_value("count");
   const double linger = nonneg_real(args, "linger-secs", 1.0);
   const std::uint32_t local_pref = u32_opt(args, "local-pref", 1000);
-  if (local_pref == 0) {
-    die_bad_value("local-pref", args.get("local-pref", ""));
-  }
+  if (local_pref == 0) args.bad_value("local-pref");
   const std::uint32_t local_as = u32_opt(args, "as", 65000);
-  if (local_as == 0) die_bad_value("as", args.get("as", ""));
+  if (local_as == 0) args.bad_value("as");
 
   service::Announcer::Config config;
   config.ports = ports;
@@ -1127,6 +1092,11 @@ int cmd_announce(const Args& args) {
   config.router_id = bgp::RouterId(u32_opt(args, "router-id", 0xefd00001));
   config.hold_time_secs = hold_secs_opt(args, "hold-secs", 90);
   config.override_local_pref = local_pref;
+  if (args.unread_flags()) return usage();
+  if (ports.empty()) {
+    std::fprintf(stderr, "eftool announce: --ports P1[,P2...] is required\n");
+    return 2;
+  }
 
   io::EventLoop loop;
   service::Announcer announcer(loop, config);
@@ -1296,14 +1266,13 @@ bmp::PerPeerHeader feed_peer_header(const bgp::Route& route) {
 /// Streams a cycle-snapshot journal into the daemon: per snapshot, the
 /// route-set delta as BMP announcements/withdrawals, then the demand
 /// table and a window-close marker over UDP, then a /metrics barrier.
-int feed_journal(const Args& args, std::vector<std::uint8_t> bytes,
+int feed_journal(long limit, std::vector<std::uint8_t> bytes,
                  DaemonFeed& feed, std::uint16_t http_port) {
   using RouteKey = std::pair<std::uint32_t, net::Prefix>;  // (bgp_id, pfx)
   std::map<RouteKey, bgp::Route> announced;
   std::set<std::uint32_t> peers_up;
 
   audit::JournalReader reader(std::move(bytes));
-  const long limit = args.num("limit", -1);
   long fed = 0;
   while (auto record = reader.next()) {
     if (limit >= 0 && fed >= limit) break;
@@ -1438,6 +1407,10 @@ int cmd_feed(const Args& args) {
   const std::uint16_t bmp_port = port_opt(args, "bmp");
   const std::uint16_t sflow_port = port_opt(args, "sflow");
   const std::uint16_t http_port = port_opt(args, "http");
+  const long limit = args.num("limit", -1);
+  const long retries = args.num("retry", 0);
+  if (retries < 0) args.bad_value("retry");
+  if (args.unread_flags()) return usage();
   if (bmp_port == 0) {
     std::fprintf(stderr, "eftool feed: --bmp PORT is required\n");
     return 2;
@@ -1448,9 +1421,6 @@ int cmd_feed(const Args& args) {
     std::fprintf(stderr, "eftool feed: cannot read %s\n", path.c_str());
     return 2;
   }
-
-  const long retries = args.num("retry", 0);
-  if (retries < 0) die_bad_value("retry", args.get("retry", ""));
 
   DaemonFeed feed;
   if (retries == 0) {
@@ -1503,7 +1473,7 @@ int cmd_feed(const Args& args) {
   // Dispatch on the journal file magic; anything else is tried as MRT.
   audit::JournalReader probe(*bytes);
   if (!probe.stats().bad_header) {
-    return feed_journal(args, std::move(*bytes), feed, http_port);
+    return feed_journal(limit, std::move(*bytes), feed, http_port);
   }
   return feed_mrt(*bytes, feed, http_port);
 }
@@ -1516,21 +1486,21 @@ std::function<bool(std::uint64_t)> blackout_pred(const Args& args) {
   if (!args.has("blackout")) return nullptr;
   const std::string spec = args.get("blackout", "");
   const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos) die_bad_value("blackout", spec);
+  if (colon == std::string::npos) args.bad_value("blackout");
   try {
     std::size_t consumed = 0;
     const long from = std::stol(spec.substr(0, colon), &consumed);
-    if (consumed != colon) die_bad_value("blackout", spec);
+    if (consumed != colon) args.bad_value("blackout");
     const std::string rest = spec.substr(colon + 1);
     const long to = std::stol(rest, &consumed);
-    if (consumed != rest.size()) die_bad_value("blackout", spec);
-    if (from < 0 || to < from) die_bad_value("blackout", spec);
+    if (consumed != rest.size()) args.bad_value("blackout");
+    if (from < 0 || to < from) args.bad_value("blackout");
     return [from, to](std::uint64_t step) {
       return step >= static_cast<std::uint64_t>(from) &&
              step < static_cast<std::uint64_t>(to);
     };
   } catch (const std::exception&) {
-    die_bad_value("blackout", spec);
+    args.bad_value("blackout");
   }
 }
 
@@ -1552,88 +1522,102 @@ struct ChaosOutcome {
   service::PeeringRouterService::Snapshot pr;
 };
 
-/// One full chaos scenario: a simulation feeds a failsafe-armed shadow
-/// daemon over loopback sockets through a seeded fault injector, in
-/// lockstep. Pure function of the flags — calling it twice must yield
-/// identical digests, which is exactly what --verify asserts.
-ChaosOutcome run_chaos_once(const Args& args) {
-  const topology::World world = make_world(args);
-  const std::size_t p = static_cast<std::size_t>(args.num("pop", 0));
-  if (p >= world.pops().size()) {
-    std::fprintf(stderr, "eftool chaos: --pop %zu out of range (%zu PoPs)\n",
-                 p, world.pops().size());
-    std::exit(2);
-  }
-  topology::Pop pop(world, p);
+/// Everything the chaos flags decide, read and validated before any run
+/// starts, so both runs of --verify use the same plan.
+struct ChaosPlan {
+  topology::WorldConfig world;
+  std::size_t pop = 0;
+  sim::SimulationConfig sim;
+  service::EfdConfig daemon;
+  /// BGP enforcement + closed-loop audit leg (--bgp-faults or any
+  /// --audit* knob).
+  bool bgp_leg = false;
+  io::FaultConfig faults;  // BMP/sFlow feed faults; seed = --fault-seed
+  std::function<bool(std::uint64_t)> blackout;
+};
 
+ChaosPlan chaos_plan(const Args& args) {
+  ChaosPlan plan;
+  plan.world = world_flags(args);
+  plan.pop = pop_flag(args);
   const long steps = args.num("steps", 12);
-  if (steps <= 0) die_bad_value("steps", args.get("steps", ""));
+  if (steps <= 0) args.bad_value("steps");
 
-  sim::SimulationConfig sim_config;
-  sim_config.step = net::SimTime::seconds(60);
-  sim_config.duration = net::SimTime::seconds(60.0 * static_cast<double>(steps));
-  sim_config.controller.cycle_period = sim_config.step;
+  plan.sim.step = net::SimTime::seconds(60);
+  plan.sim.duration = net::SimTime::seconds(60.0 * static_cast<double>(steps));
+  plan.sim.controller.cycle_period = plan.sim.step;
   // Aggressive thresholds so cycles actually steer traffic — a ladder
   // guarding an always-empty override set would demonstrate nothing.
-  sim_config.controller.allocator.overload_threshold = 0.5;
-  sim_config.controller.allocator.target_utilization = 0.45;
+  plan.sim.controller.allocator.overload_threshold = 0.5;
+  plan.sim.controller.allocator.target_utilization = 0.45;
 
-  service::EfdConfig daemon_config;
-  daemon_config.controller = sim_config.controller;
-  daemon_config.controller.enforcement = core::Enforcement::kShadow;
-  daemon_config.failsafe.enabled = true;
-  apply_failsafe_flags(args, daemon_config);
+  plan.daemon.controller = plan.sim.controller;
+  plan.daemon.controller.enforcement = core::Enforcement::kShadow;
+  plan.daemon.failsafe.enabled = true;
+  apply_failsafe_flags(args, plan.daemon);
+  apply_audit_flags(args, plan.daemon);
 
-  // Audit knobs are validated even when the BGP leg stays off — a
-  // typo'd --audit-interval must fail the invocation, not be ignored.
-  apply_audit_flags(args, daemon_config);
+  plan.faults.seed = static_cast<std::uint64_t>(args.num("fault-seed", 1));
+  plan.bgp_leg = args.has("bgp-faults") || plan.daemon.audit.enabled;
+  plan.daemon.audit.enabled = plan.bgp_leg;
+  apply_bgp_fault_flags(args, plan.daemon, plan.faults.seed);
+  plan.faults.drop = unit_real(args, "drop", 0.0);
+  plan.faults.duplicate = unit_real(args, "dup", 0.0);
+  plan.faults.corrupt_body = unit_real(args, "corrupt", 0.0);
+  plan.faults.corrupt_header = unit_real(args, "poison", 0.0);
+  plan.faults.truncate = unit_real(args, "truncate", 0.0);
+  plan.faults.disconnect = unit_real(args, "disconnect", 0.0);
+  plan.blackout = blackout_pred(args);
+  return plan;
+}
 
-  // BGP enforcement + closed-loop audit leg: with --bgp-faults or any
-  // --audit* knob, the shadow daemon additionally enforces each cycle's
-  // set over a real TCP BGP session to an in-process peering router —
-  // faults injected on the UPDATE stream — and each cycle's auditor
-  // pass reads the router's Adj-RIB-In back and repairs divergence.
-  const bool bgp_leg = args.has("bgp-faults") || daemon_config.audit.enabled;
+/// One full chaos scenario: a simulation feeds a failsafe-armed shadow
+/// daemon over loopback sockets through a seeded fault injector, in
+/// lockstep. Pure function of the plan — calling it twice must yield
+/// identical digests, which is exactly what --verify asserts.
+ChaosOutcome run_chaos_once(const ChaosPlan& plan) {
+  const topology::World world = topology::World::generate(plan.world);
+  if (plan.pop >= world.pops().size()) {
+    std::fprintf(stderr, "eftool chaos: --pop %zu out of range (%zu PoPs)\n",
+                 plan.pop, world.pops().size());
+    std::exit(2);
+  }
+  topology::Pop pop(world, plan.pop);
+
+  // With the BGP leg, the shadow daemon additionally enforces each
+  // cycle's set over a real TCP BGP session to an in-process peering
+  // router — faults injected on the UPDATE stream — and each cycle's
+  // auditor pass reads the router's Adj-RIB-In back and repairs
+  // divergence.
+  service::EfdConfig daemon_config = plan.daemon;
   std::unique_ptr<service::PeeringRouterService> prd;
-  if (bgp_leg) {
+  if (plan.bgp_leg) {
     service::PeeringRouterService::Config pr_config;
     pr_config.bgp_port = 0;
     pr_config.local_as = world.config().local_as;
     prd = std::make_unique<service::PeeringRouterService>(pr_config);
     prd->start();
     daemon_config.announce_ports = {prd->bgp_port()};
-    daemon_config.audit.enabled = true;
     service::PeeringRouterService* prd_raw = prd.get();
     // Safe across loops: routes() hops onto prd's own loop via
     // run_sync, called here from efd's loop thread.
     daemon_config.audit_read_back = [prd_raw] { return prd_raw->routes(); };
-    apply_bgp_fault_flags(
-        args, daemon_config,
-        static_cast<std::uint64_t>(args.num("fault-seed", 1)));
   }
 
-  sim::Simulation sim(pop, sim_config);
+  sim::Simulation sim(pop, plan.sim);
   service::EfdService daemon(pop, daemon_config);
   daemon.start();
 
   sim::LiveFeed::Config feed_config;
   feed_config.bmp_port = daemon.bmp_port();
   feed_config.sflow_port = daemon.sflow_port();
-  io::FaultConfig faults;
-  faults.seed = static_cast<std::uint64_t>(args.num("fault-seed", 1));
-  faults.drop = unit_real(args, "drop", 0.0);
-  faults.duplicate = unit_real(args, "dup", 0.0);
-  faults.corrupt_body = unit_real(args, "corrupt", 0.0);
-  faults.corrupt_header = unit_real(args, "poison", 0.0);
-  faults.truncate = unit_real(args, "truncate", 0.0);
-  faults.disconnect = unit_real(args, "disconnect", 0.0);
-  feed_config.faults = faults;
+  feed_config.faults = plan.faults;
   io::BackoffConfig redial;
   redial.base = 1;  // simulation steps
   redial.cap = 4;
-  redial.seed = faults.seed;
+  redial.seed = plan.faults.seed;
   feed_config.reconnect = redial;
-  feed_config.drop_demand = blackout_pred(args);
+  feed_config.drop_demand = plan.blackout;
 
   constexpr std::chrono::milliseconds kBarrier(15000);
   sim::LiveFeed::Sync sync;
@@ -1691,7 +1675,7 @@ ChaosOutcome run_chaos_once(const Args& args) {
   out.reconnect_attempts = feed.reconnect_attempts();
   out.reconnects_ok = feed.reconnects_ok();
   out.demand_dropped = feed.demand_records_dropped();
-  out.bgp_leg = bgp_leg;
+  out.bgp_leg = plan.bgp_leg;
   out.bgp_drained = drained;
   if (prd) out.pr = prd->snapshot();
   daemon.stop();
@@ -1700,19 +1684,23 @@ ChaosOutcome run_chaos_once(const Args& args) {
 }
 
 int cmd_chaos(const Args& args) {
-  const ChaosOutcome run = run_chaos_once(args);
+  const ChaosPlan plan = chaos_plan(args);
+  const std::string* metrics_out = args.find("metrics-out");
+  const bool verbose = args.has("verbose");
+  const bool verify = args.has("verify");
+  if (args.unread_flags()) return usage();
+  const ChaosOutcome run = run_chaos_once(plan);
 
-  if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out", "");
-    std::ofstream out(path, std::ios::binary);
+  if (metrics_out != nullptr) {
+    std::ofstream out(*metrics_out, std::ios::binary);
     if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      std::fprintf(stderr, "cannot open %s\n", metrics_out->c_str());
       return 2;
     }
     out << run.metrics;
   }
 
-  if (args.has("verbose")) {
+  if (verbose) {
     for (std::size_t i = 0; i < run.digests.size(); ++i) {
       const service::EfdService::CycleDigest& digest = run.digests[i];
       std::printf("  cycle %2zu t=%5.0fs %-14s %-8s %zu override(s)\n", i,
@@ -1776,9 +1764,9 @@ int cmd_chaos(const Args& args) {
     }
   }
 
-  if (!args.has("verify")) return 0;
+  if (!verify) return 0;
 
-  const ChaosOutcome replay = run_chaos_once(args);
+  const ChaosOutcome replay = run_chaos_once(plan);
   if (replay.digests.size() != run.digests.size()) {
     std::fprintf(stderr,
                  "verify: FAILED — %zu cycle(s) vs %zu on replay\n",
@@ -1811,7 +1799,7 @@ int cmd_chaos(const Args& args) {
   }
   std::printf("verify: replay identical (%zu cycle(s), seed %llu)\n",
               run.digests.size(),
-              static_cast<unsigned long long>(args.num("fault-seed", 1)));
+              static_cast<unsigned long long>(plan.faults.seed));
   return 0;
 }
 

@@ -6,32 +6,50 @@
 // silently running without them.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+
+#include "core/controller.h"
 
 namespace ef::tools {
 
 class FlagMap {
  public:
+  /// `prog` prefixes every bad-value report ("efd", "eftool").
+  explicit FlagMap(std::string prog) : prog_(std::move(prog)) {}
+
   /// Stores the flag at argv[i] ("--key=value", "--key value", or a bare
-  /// "--key", which reads as "1") and returns the index of the last
-  /// argument it consumed. argv[i] must start with "--".
+  /// "--key", which reads as "1" and is remembered as bare) and returns
+  /// the index of the last argument it consumed. argv[i] must start with
+  /// "--".
   int parse(int argc, char** argv, int i) {
-    const std::string key = argv[i] + 2;
+    std::string key = argv[i] + 2;
+    std::string value = "1";  // boolean flag
     // --key=value form: the value may be anything, including empty
     // (which strict numeric validation then rejects loudly).
     if (const auto eq = key.find('='); eq != std::string::npos) {
-      values_[key.substr(0, eq)] = key.substr(eq + 1);
+      value = key.substr(eq + 1);
+      key.resize(eq);
+      bare_.erase(key);
     } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      values_[key] = argv[++i];
+      value = argv[++i];
+      bare_.erase(key);
     } else {
-      values_[key] = "1";  // boolean flag
+      bare_.insert(key);
     }
+    values_[key] = value;
     return i;
   }
+
+  /// True when the flag was given without a value ("--key").
+  bool bare(const std::string& key) const { return bare_.contains(key); }
 
   /// The flag's value, or nullptr when it was not given.
   const std::string* find(const std::string& key) const {
@@ -43,6 +61,36 @@ class FlagMap {
   std::string get(const std::string& key, const std::string& fallback) const {
     const std::string* value = find(key);
     return value == nullptr ? fallback : *value;
+  }
+
+  /// Strict integer: junk or trailing characters exit 2.
+  long num(const std::string& key, long fallback) const {
+    const std::string* raw = find(key);
+    if (raw == nullptr) return fallback;
+    try {
+      std::size_t consumed = 0;
+      const long value = std::stol(*raw, &consumed);
+      if (consumed == raw->size()) return value;
+    } catch (const std::exception&) {
+    }
+    bad_value(key);
+  }
+  /// Strict finite double: junk, trailing characters, inf or nan exit 2.
+  double real(const std::string& key, double fallback) const {
+    const std::string* raw = find(key);
+    if (raw == nullptr) return fallback;
+    char* end = nullptr;
+    const double value = std::strtod(raw->c_str(), &end);
+    if (end == raw->c_str() || *end != '\0' || !std::isfinite(value)) {
+      bad_value(key);
+    }
+    return value;
+  }
+  /// Reports the flag's value as invalid and exits 2.
+  [[noreturn]] void bad_value(const std::string& key) const {
+    std::fprintf(stderr, "%s: invalid numeric value '%s' for --%s\n",
+                 prog_.c_str(), get(key, "").c_str(), key.c_str());
+    std::exit(2);
   }
 
   /// Prints one line per given flag that no lookup has read yet, each
@@ -58,8 +106,25 @@ class FlagMap {
   }
 
  private:
+  std::string prog_;
   std::map<std::string, std::string> values_;
+  std::set<std::string> bare_;
   mutable std::set<std::string> read_;
 };
+
+/// --incremental[=FRAC]: arms the incremental (delta) allocation path.
+/// FRAC is the dirty-fraction ceiling past which a cycle falls back to a
+/// full recompute, a fraction in [0, 1] (anything else exits 2); a bare
+/// --incremental keeps `config`'s default ceiling. Execution knob only:
+/// decisions are bitwise identical either way.
+inline void apply_incremental_flag(const FlagMap& flags,
+                                   core::ControllerConfig& config) {
+  if (!flags.has("incremental")) return;
+  config.incremental = true;
+  if (flags.bare("incremental")) return;
+  const double frac = flags.real("incremental", 0.0);
+  if (frac < 0.0 || frac > 1.0) flags.bad_value("incremental");
+  config.incremental_dirty_ceiling = frac;
+}
 
 }  // namespace ef::tools
