@@ -1,7 +1,9 @@
 // A14 (audit subsystem cost): what recording and replaying cycles costs —
-// snapshot serialize/deserialize throughput, journal append throughput,
-// and replay cycles/sec — so the overhead of always-on auditing can be
-// judged against the 30s production cycle budget. Uses google-benchmark.
+// live-cycle encode (serialize_cycle vs the capture_cycle value path),
+// snapshot serialize/deserialize throughput, CRC-32 and journal append
+// throughput, and replay cycles/sec — so the overhead of always-on
+// auditing can be judged against the 30s production cycle budget. Uses
+// google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,35 +22,125 @@ namespace {
 
 using namespace ef;
 
-/// One real captured cycle: the busiest baseline hour on a standard
-/// single-PoP world, so serialize/replay costs reflect a loaded cycle.
-const audit::CycleSnapshot& captured_cycle() {
-  static const audit::CycleSnapshot snapshot = [] {
+/// The busiest baseline hour of a standard single-PoP world, kept live:
+/// run() re-runs that hour's controller cycle and hands its record to a
+/// callback, which is the only place a CycleRecord exists.
+class LiveCycle {
+ public:
+  static LiveCycle& get() {
+    static LiveCycle live;
+    return live;
+  }
+
+  template <class Fn>
+  void run(Fn&& fn) {
+    controller_.set_cycle_observer(
+        [&](const core::Controller::CycleRecord& record) { fn(record); });
+    controller_.run_cycle(demand_, net::SimTime::hours(hour_));
+    controller_.set_cycle_observer(nullptr);
+  }
+
+  const audit::CycleSnapshot& busiest() const { return busiest_; }
+
+  // The controller's cycle observer captures this.
+  LiveCycle(const LiveCycle&) = delete;
+  LiveCycle& operator=(const LiveCycle&) = delete;
+
+ private:
+  LiveCycle()
+      : world_(topology::World::generate(world_config())),
+        pop_(world_, 0),
+        controller_(pop_, {}) {
+    controller_.connect();
+    workload::DemandGenerator gen(world_, 0, {});
+    for (int hour = 0; hour < 24; ++hour) {
+      run_hour(gen, hour);
+    }
+    demand_ = gen.baseline(net::SimTime::hours(hour_));
+  }
+
+  static topology::WorldConfig world_config() {
     topology::WorldConfig config;
     config.num_clients = 56;
     config.num_pops = 1;
-    const topology::World world = topology::World::generate(config);
-    topology::Pop pop(world, 0);
-    core::Controller controller(pop, {});
-    controller.connect();
-    std::vector<audit::CycleSnapshot> captured;
-    controller.set_cycle_observer(
+    return config;
+  }
+
+  void run_hour(workload::DemandGenerator& gen, int hour) {
+    controller_.set_cycle_observer(
         [&](const core::Controller::CycleRecord& record) {
-          captured.push_back(audit::capture_cycle(record));
+          audit::CycleSnapshot snapshot = audit::capture_cycle(record);
+          if (hour == 0 ||
+              snapshot.allocated.size() > busiest_.allocated.size()) {
+            busiest_ = std::move(snapshot);
+            hour_ = hour;
+          }
         });
-    workload::DemandGenerator gen(world, 0, {});
-    for (int hour = 0; hour < 24; ++hour) {
-      controller.run_cycle(gen.baseline(net::SimTime::hours(hour)),
-                           net::SimTime::hours(hour));
-    }
-    return *std::max_element(
-        captured.begin(), captured.end(),
-        [](const audit::CycleSnapshot& a, const audit::CycleSnapshot& b) {
-          return a.allocated.size() < b.allocated.size();
-        });
-  }();
-  return snapshot;
+    controller_.run_cycle(gen.baseline(net::SimTime::hours(hour)),
+                          net::SimTime::hours(hour));
+  }
+
+  topology::World world_;
+  topology::Pop pop_;
+  core::Controller controller_;
+  telemetry::DemandMatrix demand_;
+  audit::CycleSnapshot busiest_;
+  int hour_ = 0;
+};
+
+/// One real captured cycle, so serialize/replay costs reflect a loaded
+/// cycle.
+const audit::CycleSnapshot& captured_cycle() {
+  return LiveCycle::get().busiest();
 }
+
+// The journal path: live cycle state straight to wire bytes.
+void BM_SerializeCycle(benchmark::State& state) {
+  std::size_t bytes = 0;
+  LiveCycle::get().run([&](const core::Controller::CycleRecord& record) {
+    for (auto _ : state) {
+      auto wire = audit::serialize_cycle(record, /*include_timing=*/true);
+      bytes = wire.size();
+      benchmark::DoNotOptimize(wire);
+    }
+  });
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.counters["snapshot_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_SerializeCycle)->Unit(benchmark::kMicrosecond);
+
+// The value path a what-if caller takes, then serialized again: what
+// BM_SerializeCycle saves a journal writer.
+void BM_CaptureCycleThenSerialize(benchmark::State& state) {
+  std::size_t bytes = 0;
+  LiveCycle::get().run([&](const core::Controller::CycleRecord& record) {
+    for (auto _ : state) {
+      auto wire =
+          audit::capture_cycle(record, /*include_timing=*/true).serialize();
+      bytes = wire.size();
+      benchmark::DoNotOptimize(wire);
+    }
+  });
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CaptureCycleThenSerialize)->Unit(benchmark::kMicrosecond);
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> buffer(std::size_t{1} << 20);
+  std::uint32_t x = 1;
+  for (std::uint8_t& b : buffer) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(audit::crc32(buffer));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(buffer.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 void BM_SnapshotSerialize(benchmark::State& state) {
   const audit::CycleSnapshot& snapshot = captured_cycle();

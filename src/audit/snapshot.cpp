@@ -2,12 +2,65 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <unordered_map>
 
 #include "net/bytes.h"
+#include "net/log.h"
 
 namespace ef::audit {
 
 namespace {
+
+// Writes into space the caller sized in advance, with BufWriter's
+// interface, so the route encoder serves both: the live encoder sizes the
+// whole route section once and fills it without a capacity check per
+// byte. A write that does not fit is dropped and flagged, never made.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::uint8_t> out)
+      : p_(out.data()), end_(out.data() + out.size()) {}
+
+  void u8(std::uint8_t v) {
+    if (room(1)) *p_++ = v;
+  }
+  void u16(std::uint16_t v) {
+    if (!room(2)) return;
+    p_[0] = static_cast<std::uint8_t>(v >> 8);
+    p_[1] = static_cast<std::uint8_t>(v);
+    p_ += 2;
+  }
+  void u32(std::uint32_t v) {
+    if (!room(4)) return;
+    p_[0] = static_cast<std::uint8_t>(v >> 24);
+    p_[1] = static_cast<std::uint8_t>(v >> 16);
+    p_[2] = static_cast<std::uint8_t>(v >> 8);
+    p_[3] = static_cast<std::uint8_t>(v);
+    p_ += 4;
+  }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v >> 32));
+    u32(static_cast<std::uint32_t>(v));
+  }
+  void bytes(const std::uint8_t* data, std::size_t len) {
+    if (!room(len)) return;
+    std::memcpy(p_, data, len);
+    p_ += len;
+  }
+
+  /// Every write fit and the space is used up exactly.
+  bool filled() const { return ok_ && p_ == end_; }
+
+ private:
+  bool room(std::size_t n) {
+    ok_ = ok_ && static_cast<std::size_t>(end_ - p_) >= n;
+    return ok_;
+  }
+
+  std::uint8_t* p_;
+  std::uint8_t* end_;
+  bool ok_ = true;
+};
 
 // Doubles travel as their IEEE-754 bit pattern so values round-trip
 // exactly — replay equality is bitwise, not epsilon-based.
@@ -25,14 +78,16 @@ net::Bandwidth get_bw(net::BufReader& r) {
   return net::Bandwidth::bps(get_f64(r));
 }
 
-void put_time(net::BufWriter& w, net::SimTime t) {
+template <class W>
+void put_time(W& w, net::SimTime t) {
   w.u64(static_cast<std::uint64_t>(t.millis_value()));
 }
 net::SimTime get_time(net::BufReader& r) {
   return net::SimTime::millis(static_cast<std::int64_t>(r.u64()));
 }
 
-void put_ip(net::BufWriter& w, const net::IpAddr& addr) {
+template <class W>
+void put_ip(W& w, const net::IpAddr& addr) {
   w.u8(static_cast<std::uint8_t>(addr.family()));
   w.bytes(addr.bytes().data(), addr.bytes().size());
 }
@@ -50,7 +105,8 @@ net::IpAddr get_ip(net::BufReader& r) {
   return {};
 }
 
-void put_prefix(net::BufWriter& w, const net::Prefix& prefix) {
+template <class W>
+void put_prefix(W& w, const net::Prefix& prefix) {
   put_ip(w, prefix.address());
   w.u8(static_cast<std::uint8_t>(prefix.length()));
 }
@@ -60,7 +116,8 @@ net::Prefix get_prefix(net::BufReader& r) {
   return net::Prefix(addr, length);
 }
 
-void put_as_path(net::BufWriter& w, const bgp::AsPath& path) {
+template <class W>
+void put_as_path(W& w, const bgp::AsPath& path) {
   w.u16(static_cast<std::uint16_t>(path.length()));
   for (bgp::AsNumber as : path.ases()) w.u32(as.value());
 }
@@ -74,7 +131,8 @@ bgp::AsPath get_as_path(net::BufReader& r) {
   return bgp::AsPath(std::move(ases));
 }
 
-void put_route(net::BufWriter& w, const bgp::Route& route) {
+template <class W>
+void put_route(W& w, const bgp::Route& route) {
   put_prefix(w, route.prefix);
   w.u8(static_cast<std::uint8_t>(route.attrs.origin));
   put_as_path(w, route.attrs.as_path);
@@ -90,6 +148,25 @@ void put_route(net::BufWriter& w, const bgp::Route& route) {
   w.u32(route.neighbor_as.value());
   w.u32(route.neighbor_router_id.value());
   put_time(w, route.learned_at);
+}
+// Bytes put_route() writes for `route`, field by field in its order.
+// The live encoder sizes its route section as the sum of these and
+// checks that it filled the section exactly (SpanWriter::filled), so a
+// mismatch fails an EF_CHECK instead of journaling a wrong record.
+std::size_t route_wire_size(const bgp::Route& route) {
+  constexpr std::size_t kIp = 1 + 16;
+  constexpr std::size_t kFixed = (kIp + 1)  // prefix
+                                 + 1        // origin
+                                 + 2        // AS path length
+                                 + kIp      // next hop
+                                 + 4 + 1    // MED, has_med
+                                 + 4 + 1    // LOCAL_PREF, has_local_pref
+                                 + 2        // community count
+                                 + 4 + 1    // learned_from, peer_type
+                                 + 4 + 4    // neighbor AS, router id
+                                 + 8;       // learned_at
+  return kFixed + 4 * (route.attrs.as_path.ases().size() +
+                       route.attrs.communities.size());
 }
 bgp::Route get_route(net::BufReader& r) {
   bgp::Route route;
@@ -170,63 +247,75 @@ std::map<telemetry::InterfaceId, net::Bandwidth> get_load_map(
   return load;
 }
 
-}  // namespace
+// The one place the wire order of a cycle record is written. Every
+// section comes from `s` except the routes, which `put_routes` writes
+// (count, then each route): a decoded snapshot holds them as values,
+// while live cycle state streams them from the RIB without copying.
+template <class PutRoutes>
+void put_snapshot(net::BufWriter& w, const CycleSnapshot& s,
+                  PutRoutes&& put_routes) {
+  w.u16(s.version);
+  put_time(w, s.when);
 
-std::vector<std::uint8_t> CycleSnapshot::serialize() const {
-  net::BufWriter w;
-  w.u16(version);
-  put_time(w, when);
+  put_f64(w, s.allocator.overload_threshold);
+  put_f64(w, s.allocator.target_utilization);
+  put_f64(w, s.allocator.detour_headroom);
+  w.u8(static_cast<std::uint8_t>(s.allocator.order));
+  w.u64(s.allocator.max_overrides);
+  w.u8(s.allocator.allow_prefix_splitting ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(s.allocator.max_split_depth));
+  w.u8(s.decision.compare_med_across_as ? 1 : 0);
+  w.u8(s.decision.prefer_oldest ? 1 : 0);
 
-  put_f64(w, allocator.overload_threshold);
-  put_f64(w, allocator.target_utilization);
-  put_f64(w, allocator.detour_headroom);
-  w.u8(static_cast<std::uint8_t>(allocator.order));
-  w.u64(allocator.max_overrides);
-  w.u8(allocator.allow_prefix_splitting ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(allocator.max_split_depth));
-  w.u8(decision.compare_med_across_as ? 1 : 0);
-  w.u8(decision.prefer_oldest ? 1 : 0);
-
-  w.u32(static_cast<std::uint32_t>(interfaces.size()));
-  for (const InterfaceRecord& iface : interfaces) {
+  w.u32(static_cast<std::uint32_t>(s.interfaces.size()));
+  for (const InterfaceRecord& iface : s.interfaces) {
     w.u32(iface.id.value());
     put_bw(w, iface.capacity);
     w.u8(iface.drained ? 1 : 0);
   }
-  w.u32(static_cast<std::uint32_t>(egress.size()));
-  for (const EgressRecord& e : egress) {
+  w.u32(static_cast<std::uint32_t>(s.egress.size()));
+  for (const EgressRecord& e : s.egress) {
     put_ip(w, e.address);
     w.u32(e.interface.value());
     w.u8(static_cast<std::uint8_t>(e.type));
   }
-  w.u32(static_cast<std::uint32_t>(demand.size()));
-  for (const DemandRecord& d : demand) {
+  w.u32(static_cast<std::uint32_t>(s.demand.size()));
+  for (const DemandRecord& d : s.demand) {
     put_prefix(w, d.prefix);
     put_bw(w, d.rate);
   }
-  w.u32(static_cast<std::uint32_t>(routes.size()));
-  for (const bgp::Route& route : routes) put_route(w, route);
+  put_routes(w);
 
-  put_overrides(w, allocated);
-  put_load_map(w, projected_load);
-  put_load_map(w, final_load);
-  w.u64(overloaded_interfaces);
-  put_bw(w, unresolved_overload);
-  put_bw(w, unroutable);
-  put_overrides(w, applied);
-  w.u64(safety.dropped_invalid_route);
-  w.u64(safety.dropped_by_budget);
-  w.u64(added);
-  w.u64(removed);
-  w.u64(retained_by_hysteresis);
-  w.u64(perf_overrides);
+  put_overrides(w, s.allocated);
+  put_load_map(w, s.projected_load);
+  put_load_map(w, s.final_load);
+  w.u64(s.overloaded_interfaces);
+  put_bw(w, s.unresolved_overload);
+  put_bw(w, s.unroutable);
+  put_overrides(w, s.applied);
+  w.u64(s.safety.dropped_invalid_route);
+  w.u64(s.safety.dropped_by_budget);
+  w.u64(s.added);
+  w.u64(s.removed);
+  w.u64(s.retained_by_hysteresis);
+  w.u64(s.perf_overrides);
   // v2 trailer: execution annotations, appended so a v1 reader that
   // stopped here would have consumed a complete v1 record.
-  w.u64(dirty_prefixes);
-  w.u64(escalations);
-  w.u64(full_fallbacks);
-  w.u8(incremental_cycle ? 1 : 0);
-  w.u64(allocation_wall_ns);
+  w.u64(s.dirty_prefixes);
+  w.u64(s.escalations);
+  w.u64(s.full_fallbacks);
+  w.u8(s.incremental_cycle ? 1 : 0);
+  w.u64(s.allocation_wall_ns);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> CycleSnapshot::serialize() const {
+  net::BufWriter w;
+  put_snapshot(w, *this, [&](net::BufWriter& out) {
+    out.u32(static_cast<std::uint32_t>(routes.size()));
+    for (const bgp::Route& route : routes) put_route(out, route);
+  });
   return w.take();
 }
 
@@ -321,8 +410,11 @@ std::optional<RecoverySnapshot> RecoverySnapshot::deserialize(
   return s;
 }
 
-CycleSnapshot capture_cycle(const core::Controller::CycleRecord& record,
-                            bool include_timing) {
+std::vector<std::uint8_t> serialize_cycle(
+    const core::Controller::CycleRecord& record, bool include_timing) {
+  // Everything but the routes goes into a value first (demand as flat
+  // records, outputs as copies of the override sets), and put_snapshot()
+  // writes it in the one wire order.
   CycleSnapshot s;
   s.when = record.stats.when;
   s.allocator = record.allocator_config;
@@ -339,7 +431,8 @@ CycleSnapshot capture_cycle(const core::Controller::CycleRecord& record,
               return a.id < b.id;
             });
 
-  record.demand.for_each([&](const net::Prefix& prefix, net::Bandwidth rate) {
+  s.demand.reserve(record.demand.prefix_count());
+  record.demand.visit([&](const net::Prefix& prefix, net::Bandwidth rate) {
     s.demand.push_back({prefix, rate});
   });
   std::sort(s.demand.begin(), s.demand.end(),
@@ -347,29 +440,43 @@ CycleSnapshot capture_cycle(const core::Controller::CycleRecord& record,
               return a.prefix < b.prefix;
             });
 
-  std::vector<net::Prefix> prefixes;
+  // The routes stay in the RIB: one pass collects each prefix's span of
+  // candidates, sorted by prefix, and they are encoded from there.
+  using PrefixRoutes = std::pair<net::Prefix, std::span<const bgp::Route>>;
+  std::vector<PrefixRoutes> entries;
+  entries.reserve(record.rib.prefix_count());
   record.rib.for_each(
-      [&](const net::Prefix& prefix, std::span<const bgp::Route>) {
-        prefixes.push_back(prefix);
+      [&](const net::Prefix& prefix, std::span<const bgp::Route> routes) {
+        entries.emplace_back(prefix, routes);
       });
-  std::sort(prefixes.begin(), prefixes.end());
-  std::map<net::IpAddr, EgressRecord> egress_map;
-  for (const net::Prefix& prefix : prefixes) {
-    for (const bgp::Route& route : record.rib.candidates(prefix)) {
+  std::sort(entries.begin(), entries.end(),
+            [](const PrefixRoutes& a, const PrefixRoutes& b) {
+              return a.first < b.first;
+            });
+
+  // Controller-injected routes are not input. The egress map holds one
+  // entry per distinct NEXT_HOP (what the replay resolver looks up),
+  // resolved once through the first natural route that carries it.
+  std::unordered_map<net::IpAddr, const bgp::Route*> first_by_next_hop;
+  std::size_t route_count = 0;
+  std::size_t route_bytes = 0;
+  for (const auto& [prefix, routes] : entries) {
+    for (const bgp::Route& route : routes) {
       if (route.peer_type == bgp::PeerType::kController) continue;
-      s.routes.push_back(route);
-      if (!egress_map.contains(route.attrs.next_hop)) {
-        if (const auto egress = record.resolve(route)) {
-          // Key on NEXT_HOP (what the replay resolver looks up), not the
-          // view's echo of it.
-          egress_map[route.attrs.next_hop] =
-              {route.attrs.next_hop, egress->interface, egress->type};
-        }
-      }
+      ++route_count;
+      route_bytes += route_wire_size(route);
+      first_by_next_hop.try_emplace(route.attrs.next_hop, &route);
     }
   }
-  s.egress.reserve(egress_map.size());
-  for (const auto& [address, e] : egress_map) s.egress.push_back(e);
+  for (const auto& [next_hop, route] : first_by_next_hop) {
+    if (const auto egress = record.resolve(*route)) {
+      s.egress.push_back({next_hop, egress->interface, egress->type});
+    }
+  }
+  std::sort(s.egress.begin(), s.egress.end(),
+            [](const EgressRecord& a, const EgressRecord& b) {
+              return a.address < b.address;
+            });
 
   const core::AllocationResult& allocation = record.stats.allocation;
   s.allocated = allocation.overrides;
@@ -398,7 +505,36 @@ CycleSnapshot capture_cycle(const core::Controller::CycleRecord& record,
     s.allocation_wall_ns =
         static_cast<std::uint64_t>(record.stats.allocation_wall.count());
   }
-  return s;
+
+  net::BufWriter w;
+  // The routes dominate and are sized exactly; the rest is estimated,
+  // and a short estimate costs one regrow.
+  w.reserve(route_bytes + 64 * (s.demand.size() + s.egress.size() +
+                                s.interfaces.size() + s.allocated.size() +
+                                s.applied.size()) +
+            4096);
+  put_snapshot(w, s, [&](net::BufWriter& out) {
+    out.u32(static_cast<std::uint32_t>(route_count));
+    SpanWriter span(out.extend(route_bytes));
+    for (const auto& [prefix, routes] : entries) {
+      for (const bgp::Route& route : routes) {
+        if (route.peer_type != bgp::PeerType::kController) {
+          put_route(span, route);
+        }
+      }
+    }
+    EF_CHECK(span.filled(), "serialize_cycle: route section is not "
+                                << route_bytes << " bytes");
+  });
+  return w.take();
+}
+
+CycleSnapshot capture_cycle(const core::Controller::CycleRecord& record,
+                            bool include_timing) {
+  auto snapshot =
+      CycleSnapshot::deserialize(serialize_cycle(record, include_timing));
+  EF_CHECK(snapshot.has_value(), "capture_cycle: cannot decode own record");
+  return std::move(*snapshot);
 }
 
 }  // namespace ef::audit

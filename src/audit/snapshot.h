@@ -93,7 +93,7 @@ struct CycleSnapshot {
   bool incremental_cycle = false;
   /// Wall-clock nanoseconds the allocator call took, so replayed journals
   /// can compare incremental vs full cycle cost offline. Stamped only
-  /// when capture_cycle() is told to include timing (the live efd path):
+  /// when serialize_cycle() is told to include timing (the live efd path):
   /// deterministic recorders leave it zero, because wall clocks vary
   /// run-to-run and journal bytes from identical simulations must stay
   /// bitwise identical.
@@ -138,12 +138,25 @@ struct RecoverySnapshot {
                          const RecoverySnapshot&) = default;
 };
 
-/// Builds a snapshot from a controller cycle callback. Controller-injected
-/// routes are excluded; everything else is captured verbatim, in sorted
-/// order so identical cycle state serializes to identical bytes. With
-/// `include_timing` the allocation wall time is stamped too — live
-/// services want it; deterministic recorders (simulation journals, whose
-/// bytes are compared across runs and thread counts) must not.
+/// Encodes a controller cycle callback straight to CycleSnapshot wire
+/// bytes, reading the live RIB, demand and interface state in place — no
+/// route is copied. Controller-injected routes are excluded; everything
+/// else is written verbatim, in sorted order, so identical cycle state
+/// serializes to identical bytes. The egress map resolves each distinct
+/// NEXT_HOP once, through the first natural route carrying it, so
+/// `record.resolve` must be a function of the route's NEXT_HOP (as the
+/// PoP's resolver and replay's are). With `include_timing` the
+/// allocation wall time is stamped too — live services want it;
+/// deterministic recorders (simulation journals, whose bytes are compared
+/// across runs and thread counts) must not. This is the one encoder of
+/// live state: journal writers call it directly.
+std::vector<std::uint8_t> serialize_cycle(
+    const core::Controller::CycleRecord& record, bool include_timing = false);
+
+/// The same cycle as a value: the decode of serialize_cycle()'s bytes, so
+/// `capture_cycle(r).serialize() == serialize_cycle(r)` by construction.
+/// For callers that inspect or mutate the snapshot (replay, what-if);
+/// callers that only write it should call serialize_cycle().
 CycleSnapshot capture_cycle(const core::Controller::CycleRecord& record,
                             bool include_timing = false);
 

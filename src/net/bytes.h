@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,18 @@ class BufWriter {
     buf_[offset + 1] = static_cast<std::uint8_t>(v >> 16);
     buf_[offset + 2] = static_cast<std::uint8_t>(v >> 8);
     buf_[offset + 3] = static_cast<std::uint8_t>(v);
+  }
+
+  /// Pre-sizes the buffer for `n` bytes in total, so a large record is
+  /// written without regrowing.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
+  /// Appends `n` zero bytes and returns them, for a caller that fills a
+  /// section whose size it computed in advance.
+  std::span<std::uint8_t> extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return {buf_.data() + at, n};
   }
 
   std::size_t size() const { return buf_.size(); }

@@ -96,8 +96,7 @@ EfdService::EfdService(topology::Pop& pop, EfdConfig config)
     controller_.set_cycle_observer(
         [this](const core::Controller::CycleRecord& record) {
           journal_->append(
-              audit::capture_cycle(record, /*include_timing=*/true)
-                  .serialize());
+              audit::serialize_cycle(record, /*include_timing=*/true));
         });
   }
   if (config_.real_time_cycles) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "audit/snapshot.h"
 #include "net/bytes.h"
@@ -43,6 +46,69 @@ TEST(Crc32Test, KnownAnswer) {
                   check.size()),
             0xCBF43926u);
   EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+/// Bit-at-a-time CRC-32, straight from the polynomial: the reference the
+/// table-driven implementation must agree with.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicingMatchesBytewiseAtEveryLengthAndOffset) {
+  // Lengths cross the 8-byte word boundary in every residue, and every
+  // start offset exercises a different alignment of the word loads.
+  std::vector<std::uint8_t> buffer(8 + 257);
+  std::uint32_t x = 0x12345678u;
+  for (std::uint8_t& b : buffer) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::uint8_t* data = buffer.data() + offset;
+      ASSERT_EQ(crc32(data, len), bitwise_crc32(data, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(JournalTest, AppendWritesTheEncodedFrames) {
+  const std::vector<std::vector<std::uint8_t>> records = {
+      record_of("alpha"), record_of(""), std::vector<std::uint8_t>(300, 7)};
+  const std::string path = testing::TempDir() + "journal_append_frames.efj";
+  {
+    JournalWriter writer(path);
+    for (const auto& record : records) writer.append(record);
+    EXPECT_EQ(writer.bytes_written(), make_journal(records).size());
+  }
+  EXPECT_EQ(JournalReader::load(path), make_journal(records));
+  std::remove(path.c_str());
+}
+
+TEST(JournalTest, LoadReadsAPipeToItsEnd) {
+  // A FIFO cannot be sized up front; load() reads it in chunks until the
+  // writer closes it. 200 KB spans several chunks.
+  const std::vector<std::uint8_t> image =
+      make_journal({std::vector<std::uint8_t>(200'000, 0x5A)});
+  const std::string path = testing::TempDir() + "journal_load_pipe.efj";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+  });
+  const auto loaded = JournalReader::load(path);
+  writer.join();
+  EXPECT_EQ(loaded, image);
+  std::remove(path.c_str());
 }
 
 TEST(JournalTest, RoundTripMultiRecord) {

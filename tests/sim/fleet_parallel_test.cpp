@@ -73,7 +73,7 @@ RunResult run_at(unsigned threads) {
     // only ever for PoP p — per-PoP sinks need no locking.
     fleet.simulation(p).set_cycle_observer(
         [&result, p](const core::Controller::CycleRecord& record) {
-          const auto bytes = audit::capture_cycle(record).serialize();
+          const auto bytes = audit::serialize_cycle(record);
           result.journals[p].insert(result.journals[p].end(), bytes.begin(),
                                     bytes.end());
         });

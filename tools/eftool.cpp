@@ -561,7 +561,7 @@ int cmd_record_fleet(const topology::World& world,
     }
     fleet.simulation(p).set_cycle_observer(
         [w = writer.get()](const core::Controller::CycleRecord& record) {
-          w->append(audit::capture_cycle(record).serialize());
+          w->append(audit::serialize_cycle(record));
         });
     writers.push_back(std::move(writer));
   }
@@ -620,7 +620,7 @@ int cmd_record(const Args& args) {
   sim::Simulation simulation(pop, config);
   simulation.set_cycle_observer(
       [&](const core::Controller::CycleRecord& record) {
-        writer.append(audit::capture_cycle(record).serialize());
+        writer.append(audit::serialize_cycle(record));
       });
   simulation.run([](const sim::StepRecord&) {});
   writer.flush();
