@@ -4,7 +4,7 @@
 // controller cycle (allocation + BGP injection) on a live PoP.
 // scripts/bench.sh turns the BM_AllocatorCycle/<prefixes>/<routes> rows
 // into BENCH_alloc.json's alloc_scaling curve and the full_table_target
-// verdict; docs/SCALING.md §4 documents the methodology. Uses
+// verdict; docs/SCALING.md §3 documents the methodology. Uses
 // google-benchmark.
 #include <benchmark/benchmark.h>
 
@@ -130,7 +130,7 @@ BENCHMARK(BM_AllocatorCycle)
     ->Args({32000, 3})
     ->Args({8000, 6})
     ->Args({8000, 12})
-    // The prefix scaling curve (docs/SCALING.md §4): the same warm cycle
+    // The prefix scaling curve (docs/SCALING.md §3): the same warm cycle
     // at quarter- and full-Internet-table scale. scripts/bench.sh derives
     // alloc_scaling and the full_table_target verdict (1M × 3 routes
     // ≤ 2 s) from these rows.

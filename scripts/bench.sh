@@ -35,7 +35,7 @@
 #                       seconds form the vendored google-benchmark
 #                       accepts), for the scheduled CI job that uploads
 #                       BENCH_alloc.json as an artifact. See
-#                       docs/SCALING.md §5.
+#                       docs/SCALING.md §4.
 #
 # Every bench binary's exit status is checked and its JSON output
 # validated before anything is merged: a crashed or truncated run aborts
@@ -225,7 +225,7 @@ for b in merged["benchmarks"]:
 merged["alloc_scaling"] = scaling
 
 # The full-table acceptance target: 1M prefixes x >=3 routes, warm cycle
-# at or under 2 s (docs/SCALING.md §4). best_warm_cycle_ms keeps its
+# at or under 2 s (docs/SCALING.md §3). best_warm_cycle_ms keeps its
 # name so scripts/check_bench_regression.py still compares it.
 target = {"prefixes": 1000000, "routes": 3, "target_ms": 2000.0}
 million = scaling.get("1000000")

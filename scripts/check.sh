@@ -30,7 +30,8 @@ for b in build/bench/*; do "$b"; done
 
 # Strict CLI validation: malformed audit/recovery/chaos knobs must exit
 # 2 even when the parent feature flag is absent (a typo'd knob silently
-# ignored is an unaudited production run).
+# ignored is an unaudited production run), and so must a removed knob
+# or a boolean flag given a value (--dataplane=0 must not read as on).
 expect_usage_error() {
   local status=0
   "$@" >/dev/null 2>&1 || status=$?
@@ -46,6 +47,8 @@ expect_usage_error ./build/tools/eftool serve --audit-interval=junk
 expect_usage_error ./build/tools/eftool chaos --audit-max-repairs=-1
 expect_usage_error ./build/tools/eftool chaos --bgp-faults junk
 expect_usage_error ./build/tools/eftool chaos --recover
+expect_usage_error ./build/tools/efd --decode-threads 2
+expect_usage_error ./build/tools/efd --dataplane=0
 # Perf numbers (BENCH_alloc.json, BENCH_ingest.json) are recorded
 # separately by scripts/bench.sh — run it after allocator or ingest
 # changes to refresh the records.
@@ -84,9 +87,10 @@ if echo 'int main(){}' | c++ -fsanitize=thread -x c++ - -o /dev/null \
   cmake -B build-tsan -G Ninja -DEF_SANITIZE=thread
   cmake --build build-tsan
   ctest --test-dir build-tsan --output-on-failure
-  # Same explicit gates under TSan: the daemon's event loop, barrier
-  # counters, and digest handoff must be race-free, not just correct —
-  # and so must the announcer/peering-router session machinery.
+  # Same explicit gates under TSan. efd keeps all ingest and cycle state
+  # on its one loop thread; what the feeder and test threads read
+  # (barrier counters, the digest list) and the announcer/peering-router
+  # session machinery must be race-free, not just correct.
   ctest --test-dir build-tsan --output-on-failure -R 'LiveIngest'
   ctest --test-dir build-tsan --output-on-failure -R 'BgpInterop'
   # The dataplane rides inside efd's ingest thread; its counters cross

@@ -7,6 +7,11 @@ namespace ef::core {
 
 namespace {
 
+/// Incremental cycles fall back to a full recompute once more than this
+/// fraction of tracked prefixes is dirty: past it the delta walk costs
+/// more than a full pass.
+constexpr double kIncrementalDirtyCeiling = 0.25;
+
 bgp::BgpSpeaker::Config controller_speaker_config(
     const topology::Pop& pop) {
   bgp::BgpSpeaker::Config config;
@@ -87,7 +92,7 @@ CycleStats Controller::run_cycle(const telemetry::DemandMatrix& demand,
     Allocator::IncrementalOutcome outcome;
     stats.allocation = allocator_.allocate_incremental(
         rib, demand, pop_->interfaces(), resolver, workspace_, ledger_,
-        config_.incremental_dirty_ceiling, &outcome);
+        kIncrementalDirtyCeiling, &outcome);
     stats.incremental_cycle = outcome.incremental;
     stats.dirty_prefixes = outcome.dirty_prefixes;
     stats.escalations = outcome.escalations;

@@ -78,14 +78,8 @@ struct ControllerConfig {
   /// pass whenever it cannot prove that), so this is an execution knob,
   /// never a decision input, and deliberately NOT part of
   /// AllocatorConfig (which is serialized into the audit wire format).
-  /// See docs/SCALING.md §7 and DESIGN.md §15.
+  /// See docs/SCALING.md §6 and DESIGN.md §15.
   bool incremental = false;
-  /// Dirty-fraction ceiling for the incremental path: when more than
-  /// this fraction of tracked prefixes is dirty, a full recompute is
-  /// cheaper than the delta walk and the cycle falls back. Must be a
-  /// unit fraction (0 disables the delta path outright — every cycle
-  /// falls back).
-  double incremental_dirty_ceiling = 0.25;
 };
 
 struct CycleStats {

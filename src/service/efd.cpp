@@ -77,10 +77,6 @@ EfdService::EfdService(topology::Pop& pop, EfdConfig config)
       aggregator_(pop.prefix_table(), config.sflow_sample_rate),
       smoother_(config.sflow_smoothing_alpha),
       ladder_(normalized_failsafe(config)) {
-  if (config_.decode_threads > 0) {
-    decode_pool_ =
-        std::make_unique<runtime::ThreadPool>(config_.decode_threads);
-  }
   if (config_.dataplane.enabled) {
     dataplane_ = std::make_unique<dataplane::Dataplane>(
         pop.interfaces(), config_.dataplane, pop.index());
@@ -195,10 +191,7 @@ void EfdService::wait() {
   // still carry through their hold timers.
   if (!config_.recovery_path.empty()) persist_recovery(now_);
   // Loop is down; tear ingest state down from this thread. Fd RAII
-  // closes every socket. The decode pool drains first: its completions
-  // post into the (stopped) loop and are parked there, so no decode task
-  // can touch a connection this teardown is about to free.
-  decode_pool_.reset();
+  // closes every socket.
   for (auto& [fd, conn] : bmp_conns_) loop_.unwatch(fd);
   bmp_conns_.clear();
   announcer_.reset();  // killed or not, its sockets close here
@@ -231,9 +224,8 @@ void EfdService::on_bmp_accept() {
     io::Fd fd = bmp_listener_->accept_one();
     if (!fd.valid()) return;
     const int raw = fd.get();
-    auto conn = std::make_unique<BmpConn>(std::move(fd), bmp_peek());
-    conn->id = next_conn_id_++;
-    bmp_conns_.emplace(raw, std::move(conn));
+    bmp_conns_.emplace(raw,
+                       std::make_unique<BmpConn>(std::move(fd), bmp_peek()));
     loop_.watch(raw, io::kRead, [this, raw](std::uint32_t ready) {
       on_bmp_event(raw, ready);
     });
@@ -252,35 +244,13 @@ void EfdService::on_bmp_event(int fd, std::uint32_t ready) {
   }
   const auto data = conn.tcp.readable();
   if (!data.empty()) {
-    if (decode_pool_ != nullptr) {
-      // Pipelined path: reassemble (cheap, header peeks only) on the
-      // loop thread, but copy the complete frames into a batch and ship
-      // the expensive wire decode to the pool. One batch per connection
-      // in flight at a time keeps per-router apply order; different
-      // routers decode concurrently.
-      DecodeBatch batch;
-      conn.frames.feed(data, [&](std::span<const std::uint8_t> frame) {
-        batch.frames.emplace_back(frame.begin(), frame.end());
-      });
-      conn.tcp.consume(data.size());
-      batch.bytes = data.size();
-      if (batch.frames.empty()) {
-        // No complete frame in this read: nothing from these bytes can
-        // reach the RIB yet, so the barrier may advance immediately.
-        counters_.add(Counter::bmp_bytes, batch.bytes);
-      } else {
-        conn.pending_batches.push_back(std::move(batch));
-        kick_decode(fd, conn);
-      }
-    } else {
-      conn.frames.feed(data, [&](std::span<const std::uint8_t> frame) {
-        handle_bmp_frame(conn, frame);
-      });
-      conn.tcp.consume(data.size());
-      // Published only after every complete frame in `data` was applied —
-      // the feeder's "all my bytes are in the RIB" barrier.
-      counters_.add(Counter::bmp_bytes, data.size());
-    }
+    conn.frames.feed(data, [&](std::span<const std::uint8_t> frame) {
+      handle_bmp_frame(conn, frame);
+    });
+    conn.tcp.consume(data.size());
+    // Published only after every complete frame in `data` was applied —
+    // the feeder's "all my bytes are in the RIB" barrier.
+    counters_.add(Counter::bmp_bytes, data.size());
   }
   if (conn.frames.poisoned()) {
     EF_LOG_WARN("efd: dropping BMP session on fd "
@@ -293,53 +263,6 @@ void EfdService::on_bmp_event(int fd, std::uint32_t ready) {
 void EfdService::handle_bmp_frame(BmpConn& conn,
                                   std::span<const std::uint8_t> frame) {
   const bmp::FrameDecode decoded = bmp::decode_frame(frame);
-  apply_bmp_decode(conn, decoded);
-}
-
-void EfdService::kick_decode(int fd, BmpConn& conn) {
-  if (conn.decode_inflight || conn.pending_batches.empty()) return;
-  conn.decode_inflight = true;
-  auto batch =
-      std::make_shared<DecodeBatch>(std::move(conn.pending_batches.front()));
-  conn.pending_batches.pop_front();
-  const std::uint64_t conn_id = conn.id;
-  decode_pool_->submit([this, fd, conn_id, batch] {
-    batch->decoded.reserve(batch->frames.size());
-    for (const std::vector<std::uint8_t>& frame : batch->frames) {
-      batch->decoded.push_back(bmp::decode_frame(frame));
-    }
-    // Back to the loop thread, the sole owner of the collector/RIB. If
-    // the loop has already stopped, the post is parked and the batch
-    // dies with it — shutdown only.
-    loop_.post([this, fd, conn_id, batch] {
-      apply_decoded_batch(fd, conn_id, *batch);
-    });
-  });
-}
-
-void EfdService::apply_decoded_batch(int fd, std::uint64_t conn_id,
-                                     DecodeBatch& batch) {
-  auto it = bmp_conns_.find(fd);
-  const bool live = it != bmp_conns_.end() && it->second->id == conn_id;
-  if (live) {
-    for (const bmp::FrameDecode& decoded : batch.decoded) {
-      apply_bmp_decode(*it->second, decoded);
-    }
-  }
-  // Barrier: credited only after every frame was applied. A dead (or
-  // recycled-fd) connection already had its routes purged by
-  // close_bmp_conn, so dropping its frames leaves the same RIB state the
-  // inline path would have reached — the bytes still count.
-  counters_.add(Counter::bmp_decode_batches);
-  counters_.add(Counter::bmp_bytes, batch.bytes);
-  if (live) {
-    it->second->decode_inflight = false;
-    kick_decode(fd, *it->second);
-  }
-}
-
-void EfdService::apply_bmp_decode(BmpConn& conn,
-                                  const bmp::FrameDecode& decoded) {
   if (!decoded.ok()) {
     counters_.add(Counter::bmp_malformed);
     EF_LOG_WARN("efd: skipping BMP frame: " << decoded.reason);
@@ -380,13 +303,6 @@ void EfdService::close_bmp_conn(int fd, bool count_disconnect) {
     health.connected = false;
     health.down_since = now_;  // feed time: deterministic under replay
     counters_.set(Counter::routers_down, assess_health(now_).routers_down);
-  }
-  // Batches read but never submitted die with the connection; their
-  // frames can no longer change the RIB (the router's routes were just
-  // purged), so credit their bytes now or feeder barriers would hang.
-  // The in-flight batch, if any, credits its own bytes on completion.
-  for (const DecodeBatch& batch : it->second->pending_batches) {
-    counters_.add(Counter::bmp_bytes, batch.bytes);
   }
   loop_.unwatch(fd);
   bmp_conns_.erase(it);
@@ -464,20 +380,6 @@ void EfdService::on_window_close(
     next_cycle_ = now_ + config_.controller.cycle_period;
   }
 
-  if (direct_seen_) {
-    // Incremental mode keeps the direct-demand matrix alive across
-    // windows: the feed updates it in place (set() is value-comparing,
-    // so an unchanged re-report costs no change-log entry) and the
-    // allocator's ledger consumes the log. Clearing every window would
-    // mark the whole table dirty and force a full recompute each cycle.
-    // The semantic shift is deliberate and documented on the config: a
-    // prefix the feed stops reporting keeps its last rate until the
-    // feed re-reports it (at zero to retire it).
-    if (!config_.controller.incremental) {
-      direct_demand_.clear();
-      direct_seen_ = false;
-    }
-  }
   counters_.add(Counter::windows_closed);
 }
 
@@ -1038,7 +940,6 @@ std::string EfdService::render_metrics() const {
        << '\n';
   };
   const InputHealth health = assess_health(now_);
-  gauge(Gauge::bmp_decode_threads, decode_pool_ ? decode_pool_->size() : 0);
   gauge(Gauge::rib_prefixes, collector_.rib().prefix_count());
   gauge(Gauge::rib_routes, collector_.rib().route_count());
   gauge(Gauge::overrides_active, controller_.active_overrides().size());

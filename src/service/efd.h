@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,7 +34,6 @@
 #include "io/event_loop.h"
 #include "io/frame.h"
 #include "io/socket.h"
-#include "runtime/thread_pool.h"
 #include "service/announcer.h"
 #include "service/auditor.h"
 #include "service/counters.h"
@@ -58,8 +56,6 @@
   X(bmp_messages, "efd_bmp_messages_total", "BMP messages applied to the RIB") \
   X(bmp_malformed, "efd_bmp_malformed_total",                                 \
     "BMP frames skipped: undecodable, or sent before an Initiation")         \
-  X(bmp_decode_batches, "efd_bmp_decode_batches_total",                       \
-    "frame batches decoded off the event loop (--decode-threads)")           \
   X(sflow_datagrams, "efd_sflow_datagrams_total",                             \
     "sFlow datagrams received, EFS1 or not")                                 \
   X(sflow_records, "efd_sflow_records_total", "EFS1 records decoded")         \
@@ -144,8 +140,6 @@
 // Gauges read straight from loop-thread state when /metrics renders; no
 // IngestSnapshot field. Row: id, /metrics name, help.
 #define EF_EFD_GAUGES(X)                                                      \
-  X(bmp_decode_threads, "efd_bmp_decode_threads",                             \
-    "BMP decode pool workers (0 = decode inline)")                           \
   X(rib_prefixes, "efd_rib_prefixes", "prefixes in the BMP-fed RIB")          \
   X(rib_routes, "efd_rib_routes", "routes in the BMP-fed RIB")                \
   X(overrides_active, "efd_overrides_active", "active override set size")     \
@@ -174,14 +168,6 @@ struct EfdConfig {
   /// Allocation pipeline configuration. Enforcement selects the daemon's
   /// stance: kBgpInjection injects into the attached PoP's routers,
   /// kShadow computes decisions without pushing them (mirror/dry-run).
-  ///
-  /// With controller.incremental set, the daemon keeps the direct-demand
-  /// matrix (DemandRate feeds) alive across windows instead of clearing
-  /// it after each cycle, so the demand change log — not the feed size —
-  /// drives per-cycle work. A prefix the feed stops reporting then keeps
-  /// its last rate until re-reported (send zero to retire it). Sampled
-  /// (FlowSample + smoother) feeds rescale every prefix each window and
-  /// therefore gain nothing from the delta path.
   core::ControllerConfig controller;
 
   /// Must match the feed's sampler for scale-up to be correct.
@@ -255,16 +241,6 @@ struct EfdConfig {
   /// path) and services bounded interface queues, exporting measured
   /// drop/reorder/queue-depth counters through /metrics.
   dataplane::DataplaneConfig dataplane;
-
-  /// Worker threads for BMP frame decoding. 0 (default) decodes inline
-  /// on the event-loop thread, exactly the pre-pipeline behaviour. N > 0
-  /// moves wire decoding onto a pool: each router session's frames are
-  /// copied off the read buffer, decoded off-loop (at most one batch per
-  /// session in flight, so per-router apply order is preserved), and the
-  /// decoded messages are posted back to the loop thread, which remains
-  /// the only writer of the RIB. Sessions decode concurrently with each
-  /// other and with allocation cycles. docs/SCALING.md §3 covers sizing.
-  unsigned decode_threads = 0;
 };
 
 class EfdService {
@@ -380,46 +356,20 @@ class EfdService {
   void kill_announcer();
 
  private:
-  /// One read's worth of complete BMP frames, copied off the connection
-  /// buffer so a pool worker can decode them while the loop thread moves
-  /// on. `bytes` is the raw byte count the batch accounts for — credited
-  /// to bmp_bytes_ only after every decoded frame was applied (or the
-  /// connection is provably gone), preserving the feeder barrier.
-  struct DecodeBatch {
-    std::vector<std::vector<std::uint8_t>> frames;
-    std::vector<bmp::FrameDecode> decoded;  // filled by the pool worker
-    std::size_t bytes = 0;
-  };
-
   struct BmpConn {
     io::TcpConn tcp;
     io::FrameReassembler frames;
     std::optional<std::uint32_t> router_key;  // set by Initiation sysName
-    /// Process-unique connection id: decode completions carry it so a
-    /// recycled fd can never apply a dead session's frames to a new one.
-    std::uint64_t id = 0;
-    /// Batches read but not yet handed to the decode pool. At most one
-    /// batch per connection is in flight at a time — that is what keeps
-    /// apply order per router identical to arrival order.
-    std::deque<DecodeBatch> pending_batches;
-    bool decode_inflight = false;
     BmpConn(io::Fd fd, io::PeekFn peek)
         : tcp(std::move(fd)), frames(std::move(peek)) {}
   };
 
   void on_bmp_accept();
   void on_bmp_event(int fd, std::uint32_t ready);
+  /// Decodes one complete frame and applies it: malformed accounting,
+  /// router-identity bookkeeping, collector apply.
   void handle_bmp_frame(BmpConn& conn,
                         std::span<const std::uint8_t> frame);
-  /// Everything handle_bmp_frame does after wire decode: malformed
-  /// accounting, router-identity bookkeeping, collector apply. Shared by
-  /// the inline path and the decode-pool completion path.
-  void apply_bmp_decode(BmpConn& conn, const bmp::FrameDecode& decoded);
-  /// Submits the next pending batch for `conn` if none is in flight.
-  void kick_decode(int fd, BmpConn& conn);
-  /// Loop-thread completion: applies a decoded batch (if the connection
-  /// is still the same one), credits its bytes, and kicks the next batch.
-  void apply_decoded_batch(int fd, std::uint64_t conn_id, DecodeBatch& batch);
   void close_bmp_conn(int fd, bool count_disconnect);
   void on_sflow_ready();
   void handle_record(const telemetry::wire::SflowRecord& record);
@@ -461,8 +411,12 @@ class EfdService {
   core::Controller controller_;
   telemetry::TrafficAggregator aggregator_;
   telemetry::DemandSmoother smoother_;
+  /// Precomputed demand (DemandRate records), kept across windows: the
+  /// feed updates it in place and retires a prefix by reporting zero.
+  /// Set-in-place keeps the demand change log, not the feed size, as
+  /// the incremental allocator's per-cycle work.
   telemetry::DemandMatrix direct_demand_;
-  bool direct_seen_ = false;
+  bool direct_seen_ = false;  // any DemandRate ever received
   net::SimTime now_;
   net::SimTime next_cycle_;  // zero: first marker runs a cycle, like sim
 
@@ -497,11 +451,6 @@ class EfdService {
   std::map<int, std::unique_ptr<BmpConn>> bmp_conns_;
   std::map<std::string, std::uint32_t> router_keys_;  // sysName -> key
   std::uint32_t next_router_key_ = 1;
-  std::uint64_t next_conn_id_ = 1;
-  /// BMP decode pool (config.decode_threads > 0); null = inline decode.
-  /// Reset in wait() before ingest state is torn down, so no decode task
-  /// outlives the connections it was spawned for.
-  std::unique_ptr<runtime::ThreadPool> decode_pool_;
 
   enum class Counter : std::size_t { EF_EFD_COUNTERS(EF_COUNTER_ID) kCount };
   Counters<Counter> counters_;

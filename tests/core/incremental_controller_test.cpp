@@ -50,9 +50,6 @@ TEST_P(IncrementalControllerProperty, GuardedDeferralsMatchFullRecompute) {
 
   ControllerConfig inc_config = config;
   inc_config.incremental = true;
-  // Odd seeds run with an unbounded ceiling, even seeds with the
-  // default 0.25 so the fallback boundary gets the same scrutiny.
-  if (GetParam() % 2 == 1) inc_config.incremental_dirty_ceiling = 1.0;
 
   // Two identical PoPs from the same world: each controller injects
   // into its own routers, so their RIBs only stay in lockstep if their
@@ -116,11 +113,12 @@ TEST_P(IncrementalControllerProperty, GuardedDeferralsMatchFullRecompute) {
 
   // The comparison is vacuous unless the guard actually deferred work
   // and the delta path actually ran. Cycle 0 is always a full build;
-  // after that the drift touches ~15% of prefixes — always under an
-  // unbounded ceiling, while the 0.25 default may legitimately trip on
-  // cycles where injection churn piles on top.
+  // after that the drift touches ~15% of prefixes, under the 0.25
+  // dirty-fraction ceiling, though cycles where injection churn piles
+  // on top may legitimately fall back. (IncrementalAllocProperty drives
+  // the delta path past 0.25.)
   EXPECT_GT(deferred_total, 0u);
-  EXPECT_GT(incremental_cycles, GetParam() % 2 == 1 ? 16u : 4u);
+  EXPECT_GT(incremental_cycles, 4u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalControllerProperty,

@@ -92,14 +92,18 @@ SimCycle snapshot_sim_cycle(sim::Simulation& sim) {
 }
 
 /// Runs a full lockstep feed and asserts the daemon's cycle digests are
-/// bitwise identical to the simulator's.
-void run_mirror_test(bool sampled) {
+/// bitwise identical to the simulator's (which always recomputes in
+/// full). `incremental` arms the daemon's delta engine: an execution
+/// knob, so it must not change a single decision.
+void run_mirror_test(bool sampled, bool incremental) {
   const topology::World world = test_world();
   topology::Pop pop(world, 0);
   const sim::SimulationConfig config = sim_config(sampled);
   sim::Simulation sim(pop, config);
 
-  service::EfdService daemon(pop, daemon_config(config));
+  service::EfdConfig dcfg = daemon_config(config);
+  dcfg.controller.incremental = incremental;
+  service::EfdService daemon(pop, dcfg);
   daemon.start();
 
   sim::LiveFeed::Config feed_config;
@@ -133,81 +137,14 @@ void run_mirror_test(bool sampled) {
 }
 
 TEST(LiveIngest, DirectFeedReachesIdenticalDecisions) {
-  run_mirror_test(/*sampled=*/false);
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental on" : "incremental off");
+    run_mirror_test(/*sampled=*/false, incremental);
+  }
 }
 
 TEST(LiveIngest, SampledFeedReachesIdenticalDecisions) {
-  run_mirror_test(/*sampled=*/true);
-}
-
-// The decode pipeline (decode_threads > 0) moves BMP wire decoding onto
-// a worker pool; it is an execution knob, so every digest must stay
-// bitwise identical to the serial in-process controller's decisions.
-// Runs under the TSan gate like the rest of LiveIngest — the pipeline's
-// cross-thread handoff (copied batches out, posted completions back,
-// byte counters last) must be race-free, not just correct. The bounce
-// mid-run exercises the close-with-pending-batches path, and the fd
-// accounting proves the pool and its completions leak nothing.
-TEST(LiveIngest, ParallelDecodeMatchesSerialDecisionsAndLeaksNoFds) {
-  const std::size_t fds_before = io::open_fd_count();
-  {
-    const topology::World world = test_world();
-    topology::Pop pop(world, 0);
-    sim::SimulationConfig config = sim_config(/*sampled=*/false);
-    sim::Simulation sim(pop, config);
-
-    service::EfdConfig dcfg = daemon_config(config);
-    dcfg.decode_threads = 4;
-    service::EfdService daemon(pop, dcfg);
-    daemon.start();
-
-    sim::LiveFeed::Config feed_config;
-    feed_config.bmp_port = daemon.bmp_port();
-    feed_config.sflow_port = daemon.sflow_port();
-    sim::LiveFeed feed(sim, feed_config, sync_for(daemon));
-    feed.connect();
-
-    std::vector<SimCycle> expected;
-    const auto step_once = [&] {
-      if (!feed.step()) return false;
-      if (sim.last().controller) expected.push_back(snapshot_sim_cycle(sim));
-      return true;
-    };
-
-    for (int i = 0; i < 3; ++i) ASSERT_TRUE(step_once());
-
-    // Instant bounce: the dying connection may hold undecoded batches —
-    // they must be flushed (bytes credited, frames dropped with the
-    // purged routes) without wedging the feeder barrier.
-    feed.disconnect_router(0);
-    feed.reconnect_router(0);
-    while (step_once()) {
-    }
-
-    ASSERT_GE(expected.size(), 8u);
-    EXPECT_EQ(feed.bmp_bytes_dropped(), 0u);
-
-    const service::EfdService::IngestSnapshot snap = daemon.ingest();
-    EXPECT_GT(snap.bmp_decode_batches, 0u)
-        << "decode pool configured but every frame decoded inline";
-
-    const std::vector<service::EfdService::CycleDigest> digests =
-        daemon.digests();
-    ASSERT_EQ(digests.size(), expected.size());
-    std::size_t with_overrides = 0;
-    for (std::size_t i = 0; i < digests.size(); ++i) {
-      EXPECT_EQ(digests[i].when, expected[i].when) << "cycle " << i;
-      EXPECT_EQ(digests[i].overrides, expected[i].overrides)
-          << "cycle " << i << ": pipelined daemon decided differently";
-      with_overrides += expected[i].overrides.empty() ? 0 : 1;
-    }
-    EXPECT_GT(with_overrides, digests.size() / 2);
-
-    daemon.stop();
-  }
-  // Feeder sockets, daemon listeners, accepted sessions, pool plumbing:
-  // all returned.
-  EXPECT_EQ(io::open_fd_count(), fds_before);
+  run_mirror_test(/*sampled=*/true, /*incremental=*/false);
 }
 
 TEST(LiveIngest, SurvivesDisconnectAndReconnect) {
@@ -240,12 +177,13 @@ TEST(LiveIngest, SurvivesDisconnectAndReconnect) {
 
     // An instant bounce (no step in between): the daemon purges router
     // 0's routes on EOF and rebuilds them from the replay, so decisions
-    // never diverge.
+    // never diverge and no export is lost.
     feed.disconnect_router(0);
     ASSERT_FALSE(feed.router_connected(0));
     feed.reconnect_router(0);
     ASSERT_TRUE(feed.router_connected(0));
     for (int i = 0; i < 2; ++i) ASSERT_TRUE(step_once());
+    EXPECT_EQ(feed.bmp_bytes_dropped(), 0u);
 
     // An outage across live steps: the daemon runs (and decides) with a
     // partial RIB while the session is down — divergence is expected

@@ -5,9 +5,11 @@
 #
 # Each command must exit 2 with usage on a flag it never read (a removed
 # knob such as --threads, or a typo such as --incremnetal) before doing
-# any work. The daemons must still start, and stop cleanly on SIGTERM,
-# when given a full set of valid flags, and must print the incremental
-# ceiling they armed. Every daemon binds ephemeral loopback ports only.
+# any work, and exit 2 on a boolean flag given a value (--dataplane=0
+# must not read as on). The daemons must still start, and stop cleanly
+# on SIGTERM, when given a full set of valid flags, and must say that
+# they armed --incremental. Every daemon binds ephemeral loopback ports
+# only.
 set -u
 efd=$1
 eftool=$2
@@ -55,13 +57,21 @@ expect_starts() {
   fi
 }
 
-# A daemon that starts must also have armed the ceiling it prints.
-expect_ceiling() {
-  want=$1
-  shift
+# A daemon that starts must also have armed the delta engine.
+expect_incremental() {
   expect_starts "$@"
-  if ! grep -q "dirty-fraction ceiling $want)" "$tmp/out"; then
-    echo "FAIL: '$*' did not print ceiling $want:"
+  if ! grep -q "incremental allocation on" "$tmp/out"; then
+    echo "FAIL: '$*' did not arm --incremental:"
+    cat "$tmp/out"
+    fail=1
+  fi
+}
+
+expect_no_value() {
+  timeout 30 "$@" >"$tmp/out" 2>&1
+  rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q "takes no value" "$tmp/out"; then
+    echo "FAIL: '$*' exited $rc; want 2 with 'takes no value':"
     cat "$tmp/out"
     fail=1
   fi
@@ -78,9 +88,11 @@ expect_bad_value() {
 }
 
 expect_unknown_flag "$efd" --threads 2
+expect_unknown_flag "$efd" --decode-threads 2
 expect_unknown_flag "$efd" --incremnetal
 expect_unknown_flag "$efd" --bmp 0 --sflow 0 --http 0 --incremental --bogus=1
 expect_unknown_flag "$eftool" serve --threads 2
+expect_unknown_flag "$eftool" serve --decode-threads 2
 expect_unknown_flag "$eftool" serve --bmp 0 --incremnetal
 expect_unknown_flag "$eftool" world --sede 7
 expect_unknown_flag "$eftool" interfaces --pop 0 --drained
@@ -98,22 +110,26 @@ expect_unknown_flag "$eftool" announce --ports 10179 --cont 3
 expect_unknown_flag "$eftool" feed "$tmp/x.efj" --bmp 1 --limt 3
 expect_unknown_flag "$eftool" chaos --fault-sed 7
 
-# --incremental=1 is the ceiling 1, not the bare flag's default 0.25.
-expect_ceiling 1 "$efd" --bmp 0 --sflow 0 --http 0 --incremental=1
-expect_ceiling 0.25 "$efd" --bmp 0 --sflow 0 --http 0 --incremental
-expect_bad_value "$efd" --incremental=1.5
-expect_ceiling 1 "$eftool" serve --bmp 0 --sflow 0 --http 0 --incremental=1
-expect_ceiling 0.25 "$eftool" serve --bmp 0 --sflow 0 --http 0 --incremental
-expect_bad_value "$eftool" serve --incremental=1.5
+# Boolean flags take no value: neither the old --incremental=FRAC
+# ceiling nor an "off" spelling such as --dataplane=0 or --inject 0.
+expect_no_value "$efd" --incremental=0.5
+expect_no_value "$efd" --dataplane=0
+expect_no_value "$efd" --inject 0
+expect_no_value "$eftool" serve --incremental=0.5
+expect_no_value "$eftool" serve --dataplane=0
+expect_no_value "$eftool" serve --inject 0
+expect_no_value "$eftool" replay --verbose "$tmp/x.efj"
+expect_no_value "$eftool" chaos --verify=1
+expect_bad_value "$efd" --dp-queue-ms=-1
 
-expect_starts "$efd" --clients 56 --pops 4 --seed 7 --pop 0 \
+expect_incremental "$efd" --clients 56 --pops 4 --seed 7 --pop 0 \
   --bmp 0 --sflow 0 --http 0 --cycle-secs 30 --sample-rate 10 \
-  --decode-threads 2 --incremental=0.5 --dataplane --dp-queue-ms 20 \
+  --incremental --dataplane --dp-queue-ms 20 \
   --dp-slots 8 --dp-elephant-frac 0.1 --audit --audit-interval 2 \
   --audit-max-repairs 8 --recovery-file "$tmp/efd.efc"
-expect_starts "$eftool" serve --clients 56 --pops 4 --seed 7 --pop 0 \
+expect_incremental "$eftool" serve --clients 56 --pops 4 --seed 7 --pop 0 \
   --bmp 0 --sflow 0 --http 0 --cycle-secs 30 --sample-rate 10 \
-  --decode-threads 2 --incremental --failsafe --max-demand-age 60 \
+  --incremental --failsafe --max-demand-age 60 \
   --hold-ttl 60 --max-churn-frac 0.2 --journal "$tmp/serve.efj" \
   --announce-hold-secs 30 --audit --recovery-file "$tmp/serve.efc" \
   --bgp-faults drop=0.1 --dataplane --dp-wcmp 2

@@ -37,19 +37,16 @@ int usage() {
                "usage: efd [--clients N] [--pops N] [--seed S] [--pop K]\n"
                "           [--bmp PORT] [--sflow PORT] [--http PORT]\n"
                "           [--inject] [--real-time] [--cycle-secs S]\n"
-               "           [--sample-rate N] [--decode-threads N]\n"
-               "           [--incremental[=FRAC]]\n"
+               "           [--sample-rate N] [--incremental]\n"
                "           [--dataplane] [--dp-queue-ms MS] [--dp-slots N]\n"
                "           [--dp-elephant-frac F]\n"
                "           [--audit] [--audit-interval N]\n"
                "           [--audit-max-repairs N]\n"
                "           [--recovery-file FILE] [--recover]\n"
                "  (port 0 = pick an ephemeral port and print it)\n"
-               "  --decode-threads: BMP decode workers (0 = decode inline\n"
-               "  on the event loop).\n"
-               "  --incremental: delta allocation cycles; FRAC is the\n"
-               "  dirty-fraction fallback ceiling in [0,1] (decisions\n"
-               "  stay bitwise identical to full recomputes). See\n"
+               "  Boolean flags (--inject, --incremental, ...) take no value.\n"
+               "  --incremental: delta allocation cycles (decisions stay\n"
+               "  bitwise identical to full recomputes). See\n"
                "  docs/SCALING.md.\n"
                "  --dataplane: flow-level dataplane emulation (hashed\n"
                "  flows, bounded interface queues, measured drops and\n"
@@ -111,24 +108,18 @@ int main(int argc, char** argv) {
   config.bmp_port = port_arg(args, "bmp");
   config.sflow_port = port_arg(args, "sflow");
   config.http_port = port_arg(args, "http");
-  config.controller.enforcement = args.has("inject")
+  config.controller.enforcement = args.flag("inject")
                                       ? core::Enforcement::kBgpInjection
                                       : core::Enforcement::kShadow;
   config.controller.cycle_period =
       net::SimTime::seconds(static_cast<double>(args.num("cycle-secs", 30)));
   config.sflow_sample_rate =
       static_cast<std::uint32_t>(args.num("sample-rate", 10));
-  config.real_time_cycles = args.has("real-time");
-  const long decode_threads = args.num("decode-threads", 0);
-  if (decode_threads < 0 ||
-      decode_threads > static_cast<long>(runtime::ThreadPool::kMaxThreads)) {
-    args.bad_value("decode-threads");
-  }
-  config.decode_threads = static_cast<unsigned>(decode_threads);
-  tools::apply_incremental_flag(args, config.controller);
+  config.real_time_cycles = args.flag("real-time");
+  config.controller.incremental = args.flag("incremental");
   // Dataplane knobs are validated even while --dataplane is absent: a
   // typo'd value should fail loudly, not silently arm nothing.
-  config.dataplane.enabled = args.has("dataplane");
+  config.dataplane.enabled = args.flag("dataplane");
   const double queue_ms = args.real("dp-queue-ms", 50.0);
   if (queue_ms < 0.0) args.bad_value("dp-queue-ms");
   config.dataplane.queue_depth_ms = queue_ms;
@@ -143,7 +134,7 @@ int main(int argc, char** argv) {
   config.dataplane.seed = static_cast<std::uint64_t>(args.num("seed", 42));
   // Audit / warm-restart knobs, validated even while --audit is absent
   // (same convention as the --dp-* block above).
-  config.audit.enabled = args.has("audit") ||
+  config.audit.enabled = args.flag("audit") ||
                          args.has("audit-interval") ||
                          args.has("audit-max-repairs");
   const long audit_interval = args.num("audit-interval", 1);
@@ -154,7 +145,7 @@ int main(int argc, char** argv) {
   if (audit_repairs < 0) args.bad_value("audit-max-repairs");
   config.audit.max_repairs = static_cast<std::uint64_t>(audit_repairs);
   config.recovery_path = args.get("recovery-file", "");
-  config.recover = args.has("recover");
+  config.recover = args.flag("recover");
   if (config.recover && config.recovery_path.empty()) {
     std::fprintf(stderr, "efd: --recover requires --recovery-file FILE\n");
     return 2;
@@ -167,10 +158,9 @@ int main(int argc, char** argv) {
 
   std::printf("efd: pop %s (%zu interfaces), %s enforcement\n",
               pop.name().c_str(), pop.def().interfaces.size(),
-              args.has("inject") ? "bgp-injection" : "shadow");
+              args.flag("inject") ? "bgp-injection" : "shadow");
   if (config.controller.incremental) {
-    std::printf("efd: incremental allocation on (dirty-fraction ceiling %g)\n",
-                config.controller.incremental_dirty_ceiling);
+    std::printf("efd: incremental allocation on\n");
   }
   if (config.audit.enabled) {
     std::printf("efd: enforcement audit on (every %u cycle(s), max %ju "

@@ -115,7 +115,7 @@ double unit_real(const Args& args, const std::string& key, double fallback) {
 /// flag implies --failsafe.
 void apply_failsafe_flags(const Args& args, service::EfdConfig& config) {
   config.failsafe.enabled =
-      config.failsafe.enabled || args.has("failsafe") ||
+      config.failsafe.enabled || args.flag("failsafe") ||
       args.has("max-demand-age") || args.has("hold-ttl") ||
       args.has("max-churn-frac");
   config.failsafe.max_demand_age =
@@ -137,7 +137,7 @@ void apply_failsafe_flags(const Args& args, service::EfdConfig& config) {
 void apply_dataplane_flags(const Args& args,
                            dataplane::DataplaneConfig& config,
                            std::uint64_t seed) {
-  config.enabled = args.has("dataplane");
+  config.enabled = args.flag("dataplane");
   config.seed = seed;
   config.queue_depth_ms = nonneg_real(args, "dp-queue-ms", 50.0);
   const long slots = args.num("dp-slots", 16);
@@ -159,7 +159,7 @@ void apply_dataplane_flags(const Args& args,
 ///   --recovery-file FILE  persist a recovery snapshot each healthy cycle
 ///   --recover             resume from FILE in hold-last-good on startup
 void apply_audit_flags(const Args& args, service::EfdConfig& config) {
-  config.audit.enabled = config.audit.enabled || args.has("audit") ||
+  config.audit.enabled = config.audit.enabled || args.flag("audit") ||
                          args.has("audit-interval") ||
                          args.has("audit-max-repairs");
   const long interval = args.num("audit-interval", 1);
@@ -169,7 +169,7 @@ void apply_audit_flags(const Args& args, service::EfdConfig& config) {
   if (repairs < 0) args.bad_value("audit-max-repairs");
   config.audit.max_repairs = static_cast<std::uint64_t>(repairs);
   config.recovery_path = args.get("recovery-file", "");
-  config.recover = args.has("recover");
+  config.recover = args.flag("recover");
   if (config.recover && config.recovery_path.empty()) {
     std::fprintf(stderr,
                  "eftool: --recover requires --recovery-file FILE\n");
@@ -359,7 +359,7 @@ int cmd_cycle(const Args& args) {
   const topology::WorldConfig world_config = world_flags(args);
   const std::size_t p = pop_flag(args);
   core::ControllerConfig config;
-  config.allocator.allow_prefix_splitting = args.has("split");
+  config.allocator.allow_prefix_splitting = args.flag("split");
   const double hour = args.real("hour", 0);
   if (args.unread_flags()) return usage();
   const topology::World world = topology::World::generate(world_config);
@@ -398,7 +398,7 @@ int cmd_run(const Args& args) {
   sim::SimulationConfig config;
   config.duration = net::SimTime::hours(args.real("hours", 24));
   config.step = net::SimTime::seconds(60);
-  config.controller_enabled = !args.has("no-controller");
+  config.controller_enabled = !args.flag("no-controller");
   config.controller.cycle_period = net::SimTime::seconds(60);
   config.peer_flap_rate_per_hour = args.real("flaps", 0);
   apply_dataplane_flags(args, config.dataplane, world_config.seed);
@@ -463,7 +463,7 @@ int cmd_fleet(const Args& args) {
   sim::SimulationConfig config;
   config.duration = net::SimTime::hours(args.real("hours", 24));
   config.step = net::SimTime::seconds(60);
-  config.controller_enabled = !args.has("no-controller");
+  config.controller_enabled = !args.flag("no-controller");
   config.controller.cycle_period = net::SimTime::seconds(60);
   const sim::RunOptions options = run_options(args);
   if (args.unread_flags()) return usage();
@@ -595,11 +595,11 @@ int cmd_record(const Args& args) {
   config.duration = net::SimTime::hours(args.real("hours", 24));
   config.step = net::SimTime::seconds(60);
   config.controller.cycle_period = net::SimTime::seconds(60);
-  config.use_sflow_estimate = args.has("sflow");
+  config.use_sflow_estimate = args.flag("sflow");
   config.peer_flap_rate_per_hour = args.real("flaps", 0);
   apply_dataplane_flags(args, config.dataplane, world_config.seed);
   // --pop selects the single PoP; --threads sizes the --fleet pool.
-  const bool fleet = args.has("fleet");
+  const bool fleet = args.flag("fleet");
   const std::size_t p = fleet ? 0 : pop_flag(args);
   const sim::RunOptions options = fleet ? run_options(args) : sim::RunOptions{};
   if (args.unread_flags()) return usage();
@@ -698,12 +698,12 @@ class SnapshotStream {
 };
 
 int cmd_replay(const Args& args) {
+  const bool verbose = args.flag("verbose");
+  if (args.unread_flags()) return usage();
   if (args.positionals.empty()) {
     std::fprintf(stderr, "replay requires a journal FILE operand\n");
     return 2;
   }
-  const bool verbose = args.has("verbose");
-  if (args.unread_flags()) return usage();
   SnapshotStream stream(args.positionals.front());
   if (!stream.opened()) return 2;
 
@@ -736,11 +736,6 @@ int cmd_replay(const Args& args) {
 }
 
 int cmd_whatif(const Args& args) {
-  if (args.positionals.empty()) {
-    std::fprintf(stderr, "whatif requires a journal FILE operand\n");
-    return 2;
-  }
-
   std::vector<audit::Mutation> mutations;
   using Kind = audit::Mutation::Kind;
   auto iface_mutation = [&](const char* flag, Kind kind, double value = 0) {
@@ -776,14 +771,18 @@ int cmd_whatif(const Args& args) {
     mutations.push_back({Kind::kMaxOverrides, {},
                          static_cast<double>(args.num("max-overrides", 0))});
   }
-  if (args.has("split")) {
+  if (args.flag("split")) {
     mutations.push_back({Kind::kAllowSplitting, {}, 1});
   }
   const bool one_cycle = args.has("cycle");
   const std::size_t wanted =
       one_cycle ? static_cast<std::size_t>(args.num("cycle", 0)) : 0;
-  const bool verbose = args.has("verbose") || one_cycle;
+  const bool verbose = args.flag("verbose") || one_cycle;
   if (args.unread_flags()) return usage();
+  if (args.positionals.empty()) {
+    std::fprintf(stderr, "whatif requires a journal FILE operand\n");
+    return 2;
+  }
   if (mutations.empty()) {
     std::fprintf(stderr,
                  "whatif requires at least one mutation flag: --drain I, "
@@ -947,23 +946,15 @@ int cmd_serve(const Args& args) {
   config.bmp_port = port_opt(args, "bmp");
   config.sflow_port = port_opt(args, "sflow");
   config.http_port = port_opt(args, "http");
-  config.controller.enforcement = args.has("inject")
+  config.controller.enforcement = args.flag("inject")
                                       ? core::Enforcement::kBgpInjection
                                       : core::Enforcement::kShadow;
   config.controller.cycle_period = net::SimTime::seconds(
       static_cast<double>(args.num("cycle-secs", 30)));
   config.sflow_sample_rate =
       static_cast<std::uint32_t>(args.num("sample-rate", 10));
-  config.real_time_cycles = args.has("real-time");
-  // Decode-pipeline knob: an execution resource only, never a decision
-  // input (see docs/SCALING.md).
-  const long decode_threads = args.num("decode-threads", 0);
-  if (decode_threads < 0 ||
-      decode_threads > static_cast<long>(runtime::ThreadPool::kMaxThreads)) {
-    args.bad_value("decode-threads");
-  }
-  config.decode_threads = static_cast<unsigned>(decode_threads);
-  tools::apply_incremental_flag(args, config.controller);
+  config.real_time_cycles = args.flag("real-time");
+  config.controller.incremental = args.flag("incremental");
   apply_failsafe_flags(args, config);
   apply_dataplane_flags(args, config.dataplane, world_config.seed);
   config.announce_ports = ports_list_opt(args, "announce");
@@ -983,7 +974,7 @@ int cmd_serve(const Args& args) {
   service.shutdown_on_signals();
   service.start();
   std::printf("eftool serve: pop %s, %s enforcement\n", pop.name().c_str(),
-              args.has("inject") ? "bgp-injection" : "shadow");
+              args.flag("inject") ? "bgp-injection" : "shadow");
   if (config.failsafe.enabled) {
     std::printf(
         "eftool serve: failsafe armed (max-demand-age %gs, hold-ttl %gs, "
@@ -1007,10 +998,7 @@ int cmd_serve(const Args& args) {
         config.dataplane.flows.elephant_fraction);
   }
   if (config.controller.incremental) {
-    std::printf(
-        "eftool serve: incremental allocation on (dirty-fraction ceiling "
-        "%g)\n",
-        config.controller.incremental_dirty_ceiling);
+    std::printf("eftool serve: incremental allocation on\n");
   }
   if (config.audit.enabled) {
     std::printf(
@@ -1265,12 +1253,15 @@ bmp::PerPeerHeader feed_peer_header(const bgp::Route& route) {
 
 /// Streams a cycle-snapshot journal into the daemon: per snapshot, the
 /// route-set delta as BMP announcements/withdrawals, then the demand
-/// table and a window-close marker over UDP, then a /metrics barrier.
+/// table (an explicit zero for each prefix the snapshot no longer
+/// carries, since the daemon keeps its demand across windows) and a
+/// window-close marker over UDP, then a /metrics barrier.
 int feed_journal(long limit, std::vector<std::uint8_t> bytes,
                  DaemonFeed& feed, std::uint16_t http_port) {
   using RouteKey = std::pair<std::uint32_t, net::Prefix>;  // (bgp_id, pfx)
   std::map<RouteKey, bgp::Route> announced;
   std::set<std::uint32_t> peers_up;
+  std::set<net::Prefix> demand_sent;
 
   audit::JournalReader reader(std::move(bytes));
   long fed = 0;
@@ -1318,14 +1309,24 @@ int feed_journal(long limit, std::vector<std::uint8_t> bytes,
 
     if (feed.sflow.valid()) {
       std::vector<telemetry::wire::SflowRecord> records;
+      const auto send_rate = [&](const net::Prefix& prefix,
+                                 net::Bandwidth rate) {
+        records.emplace_back(telemetry::wire::DemandRate{prefix, rate});
+        if (records.size() < 64) return true;
+        const bool sent = feed.send_records(records);
+        records.clear();
+        return sent;
+      };
+      std::set<net::Prefix> reported;
       for (const audit::DemandRecord& demand : snapshot->demand) {
-        records.emplace_back(
-            telemetry::wire::DemandRate{demand.prefix, demand.rate});
-        if (records.size() >= 64) {
-          if (!feed.send_records(records)) return 1;
-          records.clear();
-        }
+        reported.insert(demand.prefix);
+        if (!send_rate(demand.prefix, demand.rate)) return 1;
       }
+      for (const net::Prefix& prefix : demand_sent) {
+        if (reported.contains(prefix)) continue;
+        if (!send_rate(prefix, net::Bandwidth::zero())) return 1;
+      }
+      demand_sent = std::move(reported);
       records.emplace_back(
           telemetry::wire::WindowClose{snapshot->when, snapshot->when});
       if (!feed.send_records(records)) return 1;
@@ -1686,8 +1687,8 @@ ChaosOutcome run_chaos_once(const ChaosPlan& plan) {
 int cmd_chaos(const Args& args) {
   const ChaosPlan plan = chaos_plan(args);
   const std::string* metrics_out = args.find("metrics-out");
-  const bool verbose = args.has("verbose");
-  const bool verify = args.has("verify");
+  const bool verbose = args.flag("verbose");
+  const bool verify = args.flag("verify");
   if (args.unread_flags()) return usage();
   const ChaosOutcome run = run_chaos_once(plan);
 
@@ -1806,7 +1807,7 @@ int cmd_chaos(const Args& args) {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: eftool <command> [options]\n"
+      "usage: eftool <command> [options]  (boolean flags take no value)\n"
       "  world      [--clients N] [--pops N] [--seed S]\n"
       "  interfaces --pop K\n"
       "  rib        --pop K [--prefix P] [--limit N]\n"
@@ -1831,10 +1832,7 @@ int usage() {
       "             --max-overrides N | --split\n"
       "  serve      [--pop K] [--bmp P] [--sflow P] [--http P] [--inject]\n"
       "             [--real-time] [--cycle-secs S] [--sample-rate N]\n"
-      "             [--decode-threads N] [--incremental[=FRAC]]\n"
-      "             (--decode-threads: BMP decode pool, 0 = inline;\n"
-      "              --incremental: delta allocation cycles, FRAC =\n"
-      "              dirty-fraction fallback ceiling in [0,1])\n"
+      "             [--incremental] (delta allocation cycles)\n"
       "             [--failsafe] [--max-demand-age SECS] [--hold-ttl SECS]\n"
       "             [--max-churn-frac F] [--journal FILE]\n"
       "             [--announce P1[,P2...]] [--announce-hold-secs S]\n"

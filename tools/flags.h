@@ -16,8 +16,6 @@
 #include <string>
 #include <utility>
 
-#include "core/controller.h"
-
 namespace ef::tools {
 
 class FlagMap {
@@ -48,9 +46,6 @@ class FlagMap {
     return i;
   }
 
-  /// True when the flag was given without a value ("--key").
-  bool bare(const std::string& key) const { return bare_.contains(key); }
-
   /// The flag's value, or nullptr when it was not given.
   const std::string* find(const std::string& key) const {
     read_.insert(key);
@@ -58,6 +53,18 @@ class FlagMap {
     return it == values_.end() ? nullptr : &it->second;
   }
   bool has(const std::string& key) const { return find(key) != nullptr; }
+  /// Boolean flag: true when given bare ("--key"), false when absent.
+  /// A value ("--key=0", "--key 0") exits 2 rather than reading as on.
+  bool flag(const std::string& key) const {
+    const std::string* value = find(key);
+    if (value == nullptr) return false;
+    if (!bare_.contains(key)) {
+      std::fprintf(stderr, "%s: --%s takes no value (got '%s')\n",
+                   prog_.c_str(), key.c_str(), value->c_str());
+      std::exit(2);
+    }
+    return true;
+  }
   std::string get(const std::string& key, const std::string& fallback) const {
     const std::string* value = find(key);
     return value == nullptr ? fallback : *value;
@@ -111,20 +118,5 @@ class FlagMap {
   std::set<std::string> bare_;
   mutable std::set<std::string> read_;
 };
-
-/// --incremental[=FRAC]: arms the incremental (delta) allocation path.
-/// FRAC is the dirty-fraction ceiling past which a cycle falls back to a
-/// full recompute, a fraction in [0, 1] (anything else exits 2); a bare
-/// --incremental keeps `config`'s default ceiling. Execution knob only:
-/// decisions are bitwise identical either way.
-inline void apply_incremental_flag(const FlagMap& flags,
-                                   core::ControllerConfig& config) {
-  if (!flags.has("incremental")) return;
-  config.incremental = true;
-  if (flags.bare("incremental")) return;
-  const double frac = flags.real("incremental", 0.0);
-  if (frac < 0.0 || frac > 1.0) flags.bad_value("incremental");
-  config.incremental_dirty_ceiling = frac;
-}
 
 }  // namespace ef::tools
