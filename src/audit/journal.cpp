@@ -96,7 +96,7 @@ JournalWriter::JournalWriter(const std::string& path)
   bytes_ = header.size();
 }
 
-void JournalWriter::append(std::span<const std::uint8_t> record) {
+std::uint32_t JournalWriter::append(std::span<const std::uint8_t> record) {
   // Header, then the payload from the caller's buffer: a multi-megabyte
   // record is never copied into a frame.
   const auto header = frame_header(record);
@@ -108,6 +108,7 @@ void JournalWriter::append(std::span<const std::uint8_t> record) {
     ++records_;
     bytes_ += header.size() + record.size();
   }
+  return read_u32(header.data() + 8);
 }
 
 std::optional<std::vector<std::uint8_t>> JournalReader::load(
@@ -200,6 +201,7 @@ std::optional<std::vector<std::uint8_t>> JournalReader::next() {
     std::vector<std::uint8_t> record(payload, payload + length);
     pos_ += kFrameHeader + length;
     ++stats_.records;
+    last_crc_ = crc;
     return record;
   }
 }

@@ -39,7 +39,9 @@ class JournalWriter {
   bool ok() const { return out_.good(); }
 
   /// Writes one frame: the 12-byte header, then `record` itself.
-  void append(std::span<const std::uint8_t> record);
+  /// Returns the frame's CRC32, which names the record (delta records
+  /// link to their chain's keyframe by it; see CycleJournal).
+  std::uint32_t append(std::span<const std::uint8_t> record);
   void flush() { out_.flush(); }
 
   std::size_t records_written() const { return records_; }
@@ -76,9 +78,14 @@ class JournalReader {
 
   const JournalReadStats& stats() const { return stats_; }
 
+  /// CRC32 of the record next() returned last (JournalWriter::append's
+  /// return value when it was written).
+  std::uint32_t last_crc() const { return last_crc_; }
+
  private:
   std::vector<std::uint8_t> bytes_;
   std::size_t pos_ = 0;
+  std::uint32_t last_crc_ = 0;
   bool pending_incomplete_ = false;
   JournalReadStats stats_;
 };

@@ -247,13 +247,11 @@ std::map<telemetry::InterfaceId, net::Bandwidth> get_load_map(
   return load;
 }
 
-// The one place the wire order of a cycle record is written. Every
-// section comes from `s` except the routes, which `put_routes` writes
-// (count, then each route): a decoded snapshot holds them as values,
-// while live cycle state streams them from the RIB without copying.
-template <class PutRoutes>
-void put_snapshot(net::BufWriter& w, const CycleSnapshot& s,
-                  PutRoutes&& put_routes) {
+// The wire order of a cycle record: head, egress, demand, routes, tail.
+// Keyframes (put_snapshot) write every section in full; delta records
+// (serialize_cycle_delta) write the head and tail the same way and only
+// the changed entries in between.
+void put_head(net::BufWriter& w, const CycleSnapshot& s) {
   w.u16(s.version);
   put_time(w, s.when);
 
@@ -273,19 +271,75 @@ void put_snapshot(net::BufWriter& w, const CycleSnapshot& s,
     put_bw(w, iface.capacity);
     w.u8(iface.drained ? 1 : 0);
   }
-  w.u32(static_cast<std::uint32_t>(s.egress.size()));
-  for (const EgressRecord& e : s.egress) {
+}
+// False on an unsupported version.
+bool get_head(net::BufReader& r, CycleSnapshot& s) {
+  s.version = r.u16();
+  if (!r.ok() || s.version < 1 || s.version > kSnapshotVersion) return false;
+  s.when = get_time(r);
+
+  s.allocator.overload_threshold = get_f64(r);
+  s.allocator.target_utilization = get_f64(r);
+  s.allocator.detour_headroom = get_f64(r);
+  s.allocator.order = static_cast<core::DetourOrder>(r.u8());
+  s.allocator.max_overrides = r.u64();
+  s.allocator.allow_prefix_splitting = r.u8() != 0;
+  s.allocator.max_split_depth = static_cast<int>(r.u32());
+  s.decision.compare_med_across_as = r.u8() != 0;
+  s.decision.prefer_oldest = r.u8() != 0;
+
+  const std::size_t interface_count = r.u32();
+  for (std::size_t i = 0; i < interface_count && r.ok(); ++i) {
+    InterfaceRecord iface;
+    iface.id = telemetry::InterfaceId(r.u32());
+    iface.capacity = get_bw(r);
+    iface.drained = r.u8() != 0;
+    s.interfaces.push_back(iface);
+  }
+  return true;
+}
+
+void put_egress(net::BufWriter& w, const std::vector<EgressRecord>& egress) {
+  w.u32(static_cast<std::uint32_t>(egress.size()));
+  for (const EgressRecord& e : egress) {
     put_ip(w, e.address);
     w.u32(e.interface.value());
     w.u8(static_cast<std::uint8_t>(e.type));
   }
-  w.u32(static_cast<std::uint32_t>(s.demand.size()));
-  for (const DemandRecord& d : s.demand) {
+}
+std::vector<EgressRecord> get_egress(net::BufReader& r) {
+  std::vector<EgressRecord> egress;
+  const std::size_t count = r.u32();
+  for (std::size_t i = 0; i < count && r.ok(); ++i) {
+    EgressRecord e;
+    e.address = get_ip(r);
+    e.interface = telemetry::InterfaceId(r.u32());
+    e.type = static_cast<bgp::PeerType>(r.u8());
+    egress.push_back(e);
+  }
+  return egress;
+}
+
+void put_demand(net::BufWriter& w, const std::vector<DemandRecord>& demand) {
+  w.u32(static_cast<std::uint32_t>(demand.size()));
+  for (const DemandRecord& d : demand) {
     put_prefix(w, d.prefix);
     put_bw(w, d.rate);
   }
-  put_routes(w);
+}
+std::vector<DemandRecord> get_demand(net::BufReader& r) {
+  std::vector<DemandRecord> demand;
+  const std::size_t count = r.u32();
+  for (std::size_t i = 0; i < count && r.ok(); ++i) {
+    DemandRecord d;
+    d.prefix = get_prefix(r);
+    d.rate = get_bw(r);
+    demand.push_back(d);
+  }
+  return demand;
+}
 
+void put_tail(net::BufWriter& w, const CycleSnapshot& s) {
   put_overrides(w, s.allocated);
   put_load_map(w, s.projected_load);
   put_load_map(w, s.final_load);
@@ -307,66 +361,7 @@ void put_snapshot(net::BufWriter& w, const CycleSnapshot& s,
   w.u8(s.incremental_cycle ? 1 : 0);
   w.u64(s.allocation_wall_ns);
 }
-
-}  // namespace
-
-std::vector<std::uint8_t> CycleSnapshot::serialize() const {
-  net::BufWriter w;
-  put_snapshot(w, *this, [&](net::BufWriter& out) {
-    out.u32(static_cast<std::uint32_t>(routes.size()));
-    for (const bgp::Route& route : routes) put_route(out, route);
-  });
-  return w.take();
-}
-
-std::optional<CycleSnapshot> CycleSnapshot::deserialize(
-    std::span<const std::uint8_t> bytes) {
-  net::BufReader r(bytes.data(), bytes.size());
-  CycleSnapshot s;
-  s.version = r.u16();
-  if (!r.ok() || s.version < 1 || s.version > kSnapshotVersion) {
-    return std::nullopt;
-  }
-  s.when = get_time(r);
-
-  s.allocator.overload_threshold = get_f64(r);
-  s.allocator.target_utilization = get_f64(r);
-  s.allocator.detour_headroom = get_f64(r);
-  s.allocator.order = static_cast<core::DetourOrder>(r.u8());
-  s.allocator.max_overrides = r.u64();
-  s.allocator.allow_prefix_splitting = r.u8() != 0;
-  s.allocator.max_split_depth = static_cast<int>(r.u32());
-  s.decision.compare_med_across_as = r.u8() != 0;
-  s.decision.prefer_oldest = r.u8() != 0;
-
-  const std::size_t interface_count = r.u32();
-  for (std::size_t i = 0; i < interface_count && r.ok(); ++i) {
-    InterfaceRecord iface;
-    iface.id = telemetry::InterfaceId(r.u32());
-    iface.capacity = get_bw(r);
-    iface.drained = r.u8() != 0;
-    s.interfaces.push_back(iface);
-  }
-  const std::size_t egress_count = r.u32();
-  for (std::size_t i = 0; i < egress_count && r.ok(); ++i) {
-    EgressRecord e;
-    e.address = get_ip(r);
-    e.interface = telemetry::InterfaceId(r.u32());
-    e.type = static_cast<bgp::PeerType>(r.u8());
-    s.egress.push_back(e);
-  }
-  const std::size_t demand_count = r.u32();
-  for (std::size_t i = 0; i < demand_count && r.ok(); ++i) {
-    DemandRecord d;
-    d.prefix = get_prefix(r);
-    d.rate = get_bw(r);
-    s.demand.push_back(d);
-  }
-  const std::size_t route_count = r.u32();
-  for (std::size_t i = 0; i < route_count && r.ok(); ++i) {
-    s.routes.push_back(get_route(r));
-  }
-
+void get_tail(net::BufReader& r, CycleSnapshot& s) {
   s.allocated = get_overrides(r);
   s.projected_load = get_load_map(r);
   s.final_load = get_load_map(r);
@@ -387,6 +382,99 @@ std::optional<CycleSnapshot> CycleSnapshot::deserialize(
     s.incremental_cycle = r.u8() != 0;
     s.allocation_wall_ns = r.u64();
   }
+}
+
+// A full (keyframe) record. Every section comes from `s` except the
+// routes, which `put_routes` writes (count, then each route): a decoded
+// snapshot holds them as values, while live cycle state streams them
+// from the RIB without copying.
+template <class PutRoutes>
+void put_snapshot(net::BufWriter& w, const CycleSnapshot& s,
+                  PutRoutes&& put_routes) {
+  put_head(w, s);
+  put_egress(w, s.egress);
+  put_demand(w, s.demand);
+  put_routes(w);
+  put_tail(w, s);
+}
+
+// Everything of a cycle record but the egress, demand and routes
+// sections, which keyframes and deltas fill differently.
+CycleSnapshot head_and_tail(const core::Controller::CycleRecord& record,
+                            bool include_timing) {
+  CycleSnapshot s;
+  s.when = record.stats.when;
+  s.allocator = record.allocator_config;
+  s.decision = record.rib.decision_config();
+
+  record.interfaces.for_each(
+      [&](telemetry::InterfaceId id, const telemetry::InterfaceState& state) {
+        s.interfaces.push_back({id, state.capacity, state.drained});
+      });
+  // InterfaceRegistry iterates an ordered map, but sort defensively — the
+  // serialized bytes must be a pure function of the cycle state.
+  std::sort(s.interfaces.begin(), s.interfaces.end(),
+            [](const InterfaceRecord& a, const InterfaceRecord& b) {
+              return a.id < b.id;
+            });
+
+  const core::AllocationResult& allocation = record.stats.allocation;
+  s.allocated = allocation.overrides;
+  s.projected_load = allocation.projected_load;
+  s.final_load = allocation.final_load;
+  s.overloaded_interfaces = allocation.overloaded_interfaces;
+  s.unresolved_overload = allocation.unresolved_overload;
+  s.unroutable = allocation.unroutable;
+  s.applied.reserve(record.applied.size());
+  for (const auto& [prefix, override_entry] : record.applied) {
+    s.applied.push_back(override_entry);
+  }
+  s.safety = record.stats.safety;
+  s.added = record.stats.added;
+  s.removed = record.stats.removed;
+  s.retained_by_hysteresis = record.stats.retained_by_hysteresis;
+  s.perf_overrides = record.stats.perf_overrides;
+  s.dirty_prefixes = record.stats.dirty_prefixes;
+  s.escalations = record.stats.escalations;
+  s.full_fallbacks = record.stats.full_fallbacks;
+  s.incremental_cycle = record.stats.incremental_cycle;
+  // Wall clocks vary run-to-run; deterministic recorders must leave the
+  // timing annotation zero so identical simulations journal identical
+  // bytes (see the header contract).
+  if (include_timing) {
+    s.allocation_wall_ns =
+        static_cast<std::uint64_t>(record.stats.allocation_wall.count());
+  }
+  return s;
+}
+
+bool egress_less(const EgressRecord& a, const EgressRecord& b) {
+  return a.address < b.address;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> CycleSnapshot::serialize() const {
+  net::BufWriter w;
+  put_snapshot(w, *this, [&](net::BufWriter& out) {
+    out.u32(static_cast<std::uint32_t>(routes.size()));
+    for (const bgp::Route& route : routes) put_route(out, route);
+  });
+  return w.take();
+}
+
+std::optional<CycleSnapshot> CycleSnapshot::deserialize(
+    std::span<const std::uint8_t> bytes) {
+  net::BufReader r(bytes.data(), bytes.size());
+  CycleSnapshot s;
+  if (!get_head(r, s)) return std::nullopt;
+  s.egress = get_egress(r);
+  s.demand = get_demand(r);
+  const std::size_t route_count = r.u32();
+  for (std::size_t i = 0; i < route_count && r.ok(); ++i) {
+    s.routes.push_back(get_route(r));
+  }
+  get_tail(r, s);
   if (!r.ok()) return std::nullopt;
   return s;
 }
@@ -415,21 +503,7 @@ std::vector<std::uint8_t> serialize_cycle(
   // Everything but the routes goes into a value first (demand as flat
   // records, outputs as copies of the override sets), and put_snapshot()
   // writes it in the one wire order.
-  CycleSnapshot s;
-  s.when = record.stats.when;
-  s.allocator = record.allocator_config;
-  s.decision = record.rib.decision_config();
-
-  record.interfaces.for_each(
-      [&](telemetry::InterfaceId id, const telemetry::InterfaceState& state) {
-        s.interfaces.push_back({id, state.capacity, state.drained});
-      });
-  // InterfaceRegistry iterates an ordered map, but sort defensively — the
-  // serialized bytes must be a pure function of the cycle state.
-  std::sort(s.interfaces.begin(), s.interfaces.end(),
-            [](const InterfaceRecord& a, const InterfaceRecord& b) {
-              return a.id < b.id;
-            });
+  CycleSnapshot s = head_and_tail(record, include_timing);
 
   s.demand.reserve(record.demand.prefix_count());
   record.demand.visit([&](const net::Prefix& prefix, net::Bandwidth rate) {
@@ -473,38 +547,7 @@ std::vector<std::uint8_t> serialize_cycle(
       s.egress.push_back({next_hop, egress->interface, egress->type});
     }
   }
-  std::sort(s.egress.begin(), s.egress.end(),
-            [](const EgressRecord& a, const EgressRecord& b) {
-              return a.address < b.address;
-            });
-
-  const core::AllocationResult& allocation = record.stats.allocation;
-  s.allocated = allocation.overrides;
-  s.projected_load = allocation.projected_load;
-  s.final_load = allocation.final_load;
-  s.overloaded_interfaces = allocation.overloaded_interfaces;
-  s.unresolved_overload = allocation.unresolved_overload;
-  s.unroutable = allocation.unroutable;
-  s.applied.reserve(record.applied.size());
-  for (const auto& [prefix, override_entry] : record.applied) {
-    s.applied.push_back(override_entry);
-  }
-  s.safety = record.stats.safety;
-  s.added = record.stats.added;
-  s.removed = record.stats.removed;
-  s.retained_by_hysteresis = record.stats.retained_by_hysteresis;
-  s.perf_overrides = record.stats.perf_overrides;
-  s.dirty_prefixes = record.stats.dirty_prefixes;
-  s.escalations = record.stats.escalations;
-  s.full_fallbacks = record.stats.full_fallbacks;
-  s.incremental_cycle = record.stats.incremental_cycle;
-  // Wall clocks vary run-to-run; deterministic recorders must leave the
-  // timing annotation zero so identical simulations journal identical
-  // bytes (see the header contract).
-  if (include_timing) {
-    s.allocation_wall_ns =
-        static_cast<std::uint64_t>(record.stats.allocation_wall.count());
-  }
+  std::sort(s.egress.begin(), s.egress.end(), egress_less);
 
   net::BufWriter w;
   // The routes dominate and are sized exactly; the rest is estimated,
@@ -527,6 +570,130 @@ std::vector<std::uint8_t> serialize_cycle(
                                 << route_bytes << " bytes");
   });
   return w.take();
+}
+
+std::optional<std::vector<std::uint8_t>> serialize_cycle_delta(
+    const core::Controller::CycleRecord& record, const DeltaLink& link,
+    std::uint64_t rib_since, std::uint64_t demand_since,
+    bool include_timing) {
+  std::vector<net::Prefix> changed;
+  if (record.rib.changes_since(rib_since, [&](const net::Prefix& prefix) {
+        changed.push_back(prefix);
+      }) != bgp::Rib::ChangeLogStatus::kOk) {
+    return std::nullopt;
+  }
+  // The log repeats a prefix per mutation, each entry carrying the rate
+  // right after it: a stable sort keeps them in log order, so the last
+  // entry of each run is the prefix's current rate.
+  std::vector<DemandRecord> demand;
+  if (record.demand.changes_since(
+          demand_since, [&](const net::Prefix& prefix, net::Bandwidth rate) {
+            demand.push_back({prefix, rate});
+          }) != telemetry::DemandMatrix::ChangeLogStatus::kOk) {
+    return std::nullopt;
+  }
+  std::stable_sort(demand.begin(), demand.end(),
+                   [](const DemandRecord& a, const DemandRecord& b) {
+                     return a.prefix < b.prefix;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < demand.size(); ++i) {
+    if (kept > 0 && demand[kept - 1].prefix == demand[i].prefix) {
+      demand[kept - 1] = demand[i];
+    } else {
+      demand[kept++] = demand[i];
+    }
+  }
+  demand.resize(kept);
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+
+  CycleSnapshot s = head_and_tail(record, include_timing);
+  s.demand = std::move(demand);
+  // Egress for the NEXT_HOPs the changed routes carry, resolved through
+  // the first route carrying each, as serialize_cycle() resolves them.
+  // The resolver is a function of the NEXT_HOP, so the reader rebuilds
+  // the full map from its keyframe's entries plus these.
+  std::vector<std::span<const bgp::Route>> routes;
+  routes.reserve(changed.size());
+  std::unordered_map<net::IpAddr, const bgp::Route*> first_by_next_hop;
+  for (const net::Prefix& prefix : changed) {
+    routes.push_back(record.rib.candidates(prefix));
+    for (const bgp::Route& route : routes.back()) {
+      if (route.peer_type == bgp::PeerType::kController) continue;
+      first_by_next_hop.try_emplace(route.attrs.next_hop, &route);
+    }
+  }
+  for (const auto& [next_hop, route] : first_by_next_hop) {
+    if (const auto egress = record.resolve(*route)) {
+      s.egress.push_back({next_hop, egress->interface, egress->type});
+    }
+  }
+  std::sort(s.egress.begin(), s.egress.end(), egress_less);
+
+  net::BufWriter w;
+  w.u16(kCycleDeltaTag);
+  w.u32(link.keyframe_crc);
+  w.u32(link.index);
+  put_time(w, link.prev_when);
+  put_head(w, s);
+  put_egress(w, s.egress);
+  put_demand(w, s.demand);
+  w.u32(static_cast<std::uint32_t>(changed.size()));
+  for (std::size_t i = 0; i < changed.size(); ++i) {
+    put_prefix(w, changed[i]);
+    const std::size_t count_at = w.size();
+    w.u32(0);
+    std::uint32_t count = 0;
+    for (const bgp::Route& route : routes[i]) {
+      if (route.peer_type == bgp::PeerType::kController) continue;
+      put_route(w, route);
+      ++count;
+    }
+    w.patch_u32(count_at, count);
+  }
+  put_tail(w, s);
+  return w.take();
+}
+
+std::optional<CycleDelta> CycleDelta::deserialize(
+    std::span<const std::uint8_t> bytes) {
+  net::BufReader r(bytes.data(), bytes.size());
+  if (r.u16() != kCycleDeltaTag || !r.ok()) return std::nullopt;
+  CycleDelta d;
+  d.link.keyframe_crc = r.u32();
+  d.link.index = r.u32();
+  d.link.prev_when = get_time(r);
+  if (!get_head(r, d.body)) return std::nullopt;
+  d.body.egress = get_egress(r);
+  d.body.demand = get_demand(r);
+  const std::size_t changed = r.u32();
+  for (std::size_t i = 0; i < changed && r.ok(); ++i) {
+    d.changed.push_back(get_prefix(r));
+    const std::uint32_t count = r.u32();
+    d.route_counts.push_back(count);
+    for (std::uint32_t k = 0; k < count && r.ok(); ++k) {
+      d.body.routes.push_back(get_route(r));
+      // A route filed under another prefix would break the rebuilt
+      // snapshot's grouping.
+      if (d.body.routes.back().prefix != d.changed.back()) r.fail();
+    }
+  }
+  get_tail(r, d.body);
+  if (!r.ok() || r.remaining() != 0 || d.link.index == 0) return std::nullopt;
+  // The reader merges by prefix: both lists must be strictly ascending.
+  const auto strictly_sorted = [](const auto& v, auto key) {
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      if (!(key(v[i - 1]) < key(v[i]))) return false;
+    }
+    return true;
+  };
+  if (!strictly_sorted(d.changed, [](const net::Prefix& p) { return p; }) ||
+      !strictly_sorted(d.body.demand,
+                       [](const DemandRecord& e) { return e.prefix; })) {
+    return std::nullopt;
+  }
+  return d;
 }
 
 CycleSnapshot capture_cycle(const core::Controller::CycleRecord& record,

@@ -148,10 +148,58 @@ struct RecoverySnapshot {
 /// PoP's resolver and replay's are). With `include_timing` the
 /// allocation wall time is stamped too — live services want it;
 /// deterministic recorders (simulation journals, whose bytes are compared
-/// across runs and thread counts) must not. This is the one encoder of
-/// live state: journal writers call it directly.
+/// across runs and thread counts) must not. This is the full-record
+/// encoder of live state: CycleJournal writes its keyframes with it.
 std::vector<std::uint8_t> serialize_cycle(
     const core::Controller::CycleRecord& record, bool include_timing = false);
+
+/// Leading u16 of a delta cycle record (CycleJournal). Far from every
+/// snapshot version and disjoint from the event and recovery tags, so
+/// CycleSnapshot::deserialize rejects a delta and vice versa.
+inline constexpr std::uint16_t kCycleDeltaTag = 0xEFD1;
+
+/// Where a delta record sits: the chain it belongs to and the exact
+/// record it applies on top of. A chain is one keyframe (a full
+/// serialize_cycle record, index 0) followed by deltas 1, 2, ...; the
+/// delta at `index` applies only to the state the record at index - 1
+/// of the same chain left, whose `when` is `prev_when`.
+struct DeltaLink {
+  std::uint32_t keyframe_crc = 0;  // frame CRC32 of the chain's keyframe
+  std::uint32_t index = 0;
+  net::SimTime prev_when;
+};
+
+/// Encodes a cycle as a delta against the journaled state that the RIB
+/// and demand change cursors `rib_since` / `demand_since` were taken at
+/// (the change_seq() values right after the previous record). Reads only
+/// the change logs and the changed prefixes, never the whole RIB or
+/// demand table: the record carries the newest rate of each changed
+/// demand prefix, each changed prefix's current natural routes in RIB
+/// order (none: the prefix is gone or holds only controller routes),
+/// the egress entries of those routes' NEXT_HOPs, and everything that is
+/// O(interfaces + overrides) in full. nullopt when either change log
+/// answers kTooOld; the caller then writes a keyframe.
+std::optional<std::vector<std::uint8_t>> serialize_cycle_delta(
+    const core::Controller::CycleRecord& record, const DeltaLink& link,
+    std::uint64_t rib_since, std::uint64_t demand_since,
+    bool include_timing = false);
+
+/// One decoded delta record. `body` holds the fields a delta carries in
+/// full (header, configs, interfaces, outputs, trailer); its `egress`,
+/// `demand` and `routes` hold only the delta's entries: the egress of
+/// the changed routes' NEXT_HOPs, the changed demand, and the routes of
+/// `changed[i]` as `route_counts[i]` consecutive entries of `routes`.
+/// `changed` and `demand` are strictly sorted by prefix.
+struct CycleDelta {
+  DeltaLink link;
+  CycleSnapshot body;
+  std::vector<net::Prefix> changed;
+  std::vector<std::uint32_t> route_counts;
+
+  /// nullopt on malformed bytes or a record that is not a delta.
+  static std::optional<CycleDelta> deserialize(
+      std::span<const std::uint8_t> bytes);
+};
 
 /// The same cycle as a value: the decode of serialize_cycle()'s bytes, so
 /// `capture_cycle(r).serialize() == serialize_cycle(r)` by construction.

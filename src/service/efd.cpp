@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "audit/journal.h"
 #include "audit/snapshot.h"
 #include "net/log.h"
 
@@ -86,13 +87,14 @@ EfdService::EfdService(topology::Pop& pop, EfdConfig config)
   counters_.set(Counter::failsafe_mode,
                 static_cast<std::uint64_t>(ladder_.mode()));
   if (!config_.journal_path.empty()) {
-    journal_ = std::make_unique<audit::JournalWriter>(config_.journal_path);
+    journal_ = std::make_unique<audit::CycleJournal>(config_.journal_path,
+                                                     /*include_timing=*/true);
     EF_CHECK(journal_->ok(),
              "efd: cannot open journal " << config_.journal_path);
     controller_.set_cycle_observer(
         [this](const core::Controller::CycleRecord& record) {
-          journal_->append(
-              audit::serialize_cycle(record, /*include_timing=*/true));
+          journal_->append(record);
+          publish_journal_counters();
         });
   }
   if (config_.real_time_cycles) {
@@ -626,8 +628,9 @@ void EfdService::run_audit(net::SimTime now, CycleDigest& digest) {
       ladder_.config().max_audit_failures > 0 &&
       report.divergent_streak >= ladder_.config().max_audit_failures;
   if (journal_) {
-    journal_->append(event.serialize());
+    journal_->append_event(event.serialize());
     journal_->flush();
+    publish_journal_counters();
   }
   EF_LOG_WARN("efd: audit divergence missing="
               << report.missing.size() << " extra=" << report.extra.size()
@@ -734,10 +737,17 @@ InputHealth EfdService::assess_health(net::SimTime now) const {
 
 void EfdService::journal_event(const audit::FailsafeEvent& event) {
   if (!journal_) return;
-  journal_->append(event.serialize());
+  journal_->append_event(event.serialize());
   // Transitions are rare and are exactly the records a post-mortem
   // needs, so pay the flush.
   journal_->flush();
+  publish_journal_counters();
+}
+
+void EfdService::publish_journal_counters() {
+  counters_.set(Counter::journal_keyframes, journal_->keyframes());
+  counters_.set(Counter::journal_deltas, journal_->deltas());
+  counters_.set(Counter::journal_bytes, journal_->bytes_written());
 }
 
 void EfdService::on_announcer_event(std::size_t peer_index, bool up,

@@ -26,8 +26,8 @@
 #include <thread>
 #include <vector>
 
+#include "audit/cycle_journal.h"
 #include "audit/event.h"
-#include "audit/journal.h"
 #include "bmp/collector.h"
 #include "core/controller.h"
 #include "dataplane/dataplane.h"
@@ -113,6 +113,12 @@
     "consecutive divergent audits (0 = convergent)")                         \
   X(audit_escalations, "efd_audit_escalations_total",                         \
     "cycles where the audit rung decided the ladder mode")                   \
+  X(journal_keyframes, "efd_journal_keyframes_total",                         \
+    "full cycle records (keyframes) journaled")                              \
+  X(journal_deltas, "efd_journal_deltas_total",                               \
+    "delta cycle records journaled")                                         \
+  X(journal_bytes, "efd_journal_bytes_total",                                 \
+    "bytes written to the journal, file header included")                    \
   X(recovery_writes, "efd_recovery_writes_total",                             \
     "warm-restart recovery snapshots written")                               \
   X(recovered, "efd_recovered",                                               \
@@ -395,6 +401,7 @@ class EfdService {
   void try_recover();
   InputHealth assess_health(net::SimTime now) const;
   void journal_event(const audit::FailsafeEvent& event);
+  void publish_journal_counters();
   void on_announcer_event(std::size_t peer_index, bool up,
                           const std::string& reason);
   void publish_ladder_counters();
@@ -432,7 +439,7 @@ class EfdService {
   bool window_had_demand_ = false;  // records seen since last marker
   bool demand_seen_ = false;        // any demand window ever closed
   net::SimTime last_demand_;        // feed time of the newest one
-  std::unique_ptr<audit::JournalWriter> journal_;
+  std::unique_ptr<audit::CycleJournal> journal_;
   std::unique_ptr<Announcer> announcer_;
   std::unique_ptr<EnforcementAuditor> auditor_;
   /// The intent each audit diffs against: the override set enforced at

@@ -5,6 +5,7 @@
 // determinism of a seeded-fault run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -14,9 +15,10 @@
 #include <thread>
 #include <vector>
 
+#include "audit/cycle_journal.h"
 #include "audit/event.h"
 #include "audit/journal.h"
-#include "audit/snapshot.h"
+#include "audit/replay.h"
 #include "core/controller.h"
 #include "io/backoff.h"
 #include "io/fault.h"
@@ -220,25 +222,19 @@ TEST(Chaos, DemandBlackoutWalksTheLadderAndRecovers) {
   EXPECT_NE(run.metrics.find("efd_failsafe_transitions_total 4"),
             std::string::npos);
 
-  // The journal interleaves cycle snapshots with ladder events: every
-  // record decodes as exactly one of the two, and the events retell the
-  // transitions (including the zero-override fail-static evidence).
-  const auto bytes = audit::JournalReader::load(journal);
-  ASSERT_TRUE(bytes.has_value());
-  audit::JournalReader reader(*bytes);
-  std::vector<audit::FailsafeEvent> events;
+  // The journal interleaves cycle records (keyframes and deltas) with
+  // ladder events: every record reads back as a cycle or an event, and
+  // the events retell the transitions (including the zero-override
+  // fail-static evidence).
+  auto reader = audit::CycleSnapshotReader::open(journal);
+  ASSERT_TRUE(reader.has_value());
   std::size_t snapshots = 0;
-  while (const auto record = reader.next()) {
-    if (auto event = audit::FailsafeEvent::deserialize(*record)) {
-      events.push_back(std::move(*event));
-    } else if (audit::CycleSnapshot::deserialize(*record)) {
-      ++snapshots;
-    } else {
-      ADD_FAILURE() << "journal record decodes as neither kind";
-    }
-  }
-  EXPECT_EQ(reader.stats().corrupt_skipped, 0u);
+  while (reader->next()) ++snapshots;
+  EXPECT_EQ(reader->journal_stats().corrupt_skipped, 0u);
+  EXPECT_EQ(reader->stats().undecodable, 0u);
+  EXPECT_EQ(reader->stats().deltas_skipped, 0u);
   EXPECT_GT(snapshots, 0u);
+  const std::vector<audit::FailsafeEvent>& events = reader->failsafe_events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[1].to_mode, FailsafeMode::kHoldLastGood);
   EXPECT_EQ(events[2].to_mode, FailsafeMode::kFailStatic);
@@ -481,6 +477,40 @@ TEST(Chaos, BgpFaultsAreAuditedRemediatedAndReplayBitwise) {
   EXPECT_EQ(second.ingest.audit_extra, first.ingest.audit_extra);
 
   dump_metrics_on_failure("bgp_faults", first.metrics);
+}
+
+// An audited, enforcing daemon's journal interleaves keyframes, delta
+// records, ladder events and audit events. Read back, every record is
+// data (none undecodable, no delta without its predecessor), there is
+// one snapshot per cycle that ran, and each replays without drift.
+TEST(Chaos, AuditedJournalReadsBackWholeAndReplaysWithoutDrift) {
+  const std::string journal = testing::TempDir() + "chaos_audited_replay.efj";
+  const BgpChaosRun run = run_bgp_chaos(13, chaos_seed(), journal);
+  ASSERT_TRUE(run.drained);
+
+  auto reader = audit::CycleSnapshotReader::open(journal);
+  ASSERT_TRUE(reader.has_value());
+  std::size_t cycles = 0;
+  std::size_t drifted = 0;
+  while (const audit::CycleSnapshot* snapshot = reader->next()) {
+    ++cycles;
+    if (audit::replay(*snapshot).drifted) ++drifted;
+  }
+  const std::size_t ran = static_cast<std::size_t>(
+      std::count_if(run.digests.begin(), run.digests.end(),
+                    [](const service::EfdService::CycleDigest& digest) {
+                      return digest.action == FailsafeAction::kRun;
+                    }));
+  EXPECT_EQ(cycles, ran);
+  EXPECT_EQ(drifted, 0u);
+  EXPECT_EQ(reader->stats().undecodable, 0u);
+  EXPECT_EQ(reader->stats().deltas_skipped, 0u);
+  EXPECT_EQ(reader->journal_stats().corrupt_skipped, 0u);
+  EXPECT_GT(reader->stats().deltas, 0u);
+  EXPECT_GT(reader->audit_events().size(), 0u);
+  EXPECT_EQ(reader->audit_events().size(), run.ingest.audit_divergent);
+  EXPECT_EQ(run.ingest.journal_keyframes, reader->stats().keyframes);
+  EXPECT_EQ(run.ingest.journal_deltas, reader->stats().deltas);
 }
 
 // --- crash-safe warm restart -------------------------------------------

@@ -5,10 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "audit/snapshot.h"
+#include "audit/cycle_journal.h"
 #include "sim/fleet.h"
 
 namespace ef::sim {
@@ -67,15 +68,22 @@ RunResult run_at(unsigned threads) {
   const topology::World world = test_world();
   Fleet fleet(world, test_config());
   RunResult result;
-  result.journals.resize(fleet.size());
+  // One journal file per PoP, named per test and thread count: ctest runs
+  // the tests of this file as concurrent processes.
+  const std::string base =
+      testing::TempDir() + "fleet_parallel_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(threads) + "_pop";
+  std::vector<std::unique_ptr<audit::CycleJournal>> journals;
   for (std::size_t p = 0; p < fleet.size(); ++p) {
+    journals.push_back(std::make_unique<audit::CycleJournal>(
+        base + std::to_string(p) + ".efj", /*include_timing=*/false));
     // The cycle observer fires on whichever pool worker runs PoP p, but
     // only ever for PoP p — per-PoP sinks need no locking.
     fleet.simulation(p).set_cycle_observer(
-        [&result, p](const core::Controller::CycleRecord& record) {
-          const auto bytes = audit::serialize_cycle(record);
-          result.journals[p].insert(result.journals[p].end(), bytes.begin(),
-                                    bytes.end());
+        [journal = journals.back().get()](
+            const core::Controller::CycleRecord& record) {
+          journal->append(record);
         });
   }
   fleet.run(
@@ -83,6 +91,15 @@ RunResult run_at(unsigned threads) {
         result.trace.push_back(fingerprint(pop_index, record));
       },
       RunOptions{threads});
+  for (std::size_t p = 0; p < fleet.size(); ++p) {
+    journals[p]->flush();
+    EXPECT_TRUE(journals[p]->ok());
+    journals[p].reset();
+    const std::string path = base + std::to_string(p) + ".efj";
+    result.journals.push_back(
+        audit::JournalReader::load(path).value_or(std::vector<std::uint8_t>{}));
+    std::remove(path.c_str());
+  }
   return result;
 }
 

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "analysis/metrics.h"
+#include "audit/cycle_journal.h"
 #include "audit/event.h"
 #include "audit/journal.h"
 #include "audit/replay.h"
@@ -549,11 +550,11 @@ int cmd_record_fleet(const topology::World& world,
                      const sim::SimulationConfig& config,
                      const sim::RunOptions& options, const std::string& path) {
   sim::Fleet fleet(world, config);
-  std::vector<std::unique_ptr<audit::JournalWriter>> writers;
+  std::vector<std::unique_ptr<audit::CycleJournal>> writers;
   writers.reserve(fleet.size());
   for (std::size_t p = 0; p < fleet.size(); ++p) {
-    auto writer =
-        std::make_unique<audit::JournalWriter>(pop_journal_path(path, p));
+    auto writer = std::make_unique<audit::CycleJournal>(
+        pop_journal_path(path, p), /*include_timing=*/false);
     if (!writer->ok()) {
       std::fprintf(stderr, "cannot open %s\n",
                    pop_journal_path(path, p).c_str());
@@ -561,7 +562,7 @@ int cmd_record_fleet(const topology::World& world,
     }
     fleet.simulation(p).set_cycle_observer(
         [w = writer.get()](const core::Controller::CycleRecord& record) {
-          w->append(audit::serialize_cycle(record));
+          w->append(record);
         });
     writers.push_back(std::move(writer));
   }
@@ -611,7 +612,7 @@ int cmd_record(const Args& args) {
   if (fleet) return cmd_record_fleet(world, config, options, path);
   topology::Pop pop(world, p);
 
-  audit::JournalWriter writer(path);
+  audit::CycleJournal writer(path, /*include_timing=*/false);
   if (!writer.ok()) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 2;
@@ -620,7 +621,7 @@ int cmd_record(const Args& args) {
   sim::Simulation simulation(pop, config);
   simulation.set_cycle_observer(
       [&](const core::Controller::CycleRecord& record) {
-        writer.append(audit::serialize_cycle(record));
+        writer.append(record);
       });
   simulation.run([](const sim::StepRecord&) {});
   writer.flush();
@@ -633,69 +634,37 @@ int cmd_record(const Args& args) {
   return 0;
 }
 
-/// Streams the decodable snapshots of a journal one at a time (a 24h
-/// journal holds ~1.4k self-contained snapshots; deserializing them all at
-/// once would be needlessly heavy). Reports damage after the last one.
-class SnapshotStream {
- public:
-  explicit SnapshotStream(const std::string& path) : path_(path) {
-    auto bytes = audit::JournalReader::load(path);
-    if (!bytes) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return;
-    }
-    reader_.emplace(std::move(*bytes));
+/// Opens a journal for replay/whatif; prints why on failure.
+std::optional<audit::CycleSnapshotReader> open_journal(
+    const std::string& path) {
+  auto reader = audit::CycleSnapshotReader::open(path);
+  if (!reader) std::fprintf(stderr, "cannot open %s\n", path.c_str());
+  return reader;
+}
+
+/// Prints journal damage to stderr once the reader is drained; true if
+/// the file was a journal.
+bool report_damage(const std::string& path,
+                   const audit::CycleSnapshotReader& reader) {
+  const audit::JournalReadStats& frames = reader.journal_stats();
+  const audit::CycleReadStats& cycles = reader.stats();
+  if (frames.bad_header) {
+    std::fprintf(stderr, "%s: not an edgefabric journal (bad header)\n",
+                 path.c_str());
   }
-
-  bool opened() const { return reader_.has_value(); }
-
-  std::optional<audit::CycleSnapshot> next() {
-    if (!reader_) return std::nullopt;
-    while (auto record = reader_->next()) {
-      if (auto snapshot = audit::CycleSnapshot::deserialize(*record)) {
-        return snapshot;
-      }
-      // Journals written with a failsafe-armed daemon interleave ladder
-      // transitions with the cycle snapshots; they are data, not damage.
-      if (auto event = audit::FailsafeEvent::deserialize(*record)) {
-        events_.push_back(std::move(*event));
-        continue;
-      }
-      ++undecodable_;
-    }
-    return std::nullopt;
+  if (frames.corrupt_skipped > 0 || frames.truncated_tail ||
+      cycles.undecodable > 0 || cycles.deltas_skipped > 0) {
+    std::fprintf(
+        stderr,
+        "%s: recovered %zu record(s); skipped %zu corrupt frame(s), "
+        "%zu undecodable record(s), %zu delta(s) without their "
+        "predecessor%s\n",
+        path.c_str(), frames.records, frames.corrupt_skipped,
+        cycles.undecodable, cycles.deltas_skipped,
+        frames.truncated_tail ? ", truncated tail" : "");
   }
-
-  /// Ladder transitions seen so far (complete once next() returned
-  /// nullopt).
-  const std::vector<audit::FailsafeEvent>& events() const { return events_; }
-
-  /// Prints journal damage to stderr; true if the file was a journal.
-  bool report_damage() const {
-    if (!reader_) return false;
-    const audit::JournalReadStats& stats = reader_->stats();
-    if (stats.bad_header) {
-      std::fprintf(stderr, "%s: not an edgefabric journal (bad header)\n",
-                   path_.c_str());
-    }
-    if (stats.corrupt_skipped > 0 || stats.truncated_tail ||
-        undecodable_ > 0) {
-      std::fprintf(
-          stderr,
-          "%s: recovered %zu record(s); skipped %zu corrupt frame(s), "
-          "%zu undecodable snapshot(s)%s\n",
-          path_.c_str(), stats.records, stats.corrupt_skipped, undecodable_,
-          stats.truncated_tail ? ", truncated tail" : "");
-    }
-    return !stats.bad_header;
-  }
-
- private:
-  std::string path_;
-  std::optional<audit::JournalReader> reader_;
-  std::vector<audit::FailsafeEvent> events_;
-  std::size_t undecodable_ = 0;
-};
+  return !frames.bad_header;
+}
 
 int cmd_replay(const Args& args) {
   const bool verbose = args.flag("verbose");
@@ -704,12 +673,13 @@ int cmd_replay(const Args& args) {
     std::fprintf(stderr, "replay requires a journal FILE operand\n");
     return 2;
   }
-  SnapshotStream stream(args.positionals.front());
-  if (!stream.opened()) return 2;
+  const std::string path = args.positionals.front();
+  auto stream = open_journal(path);
+  if (!stream) return 2;
 
   std::size_t cycles = 0;
   std::size_t drifted = 0;
-  while (auto snapshot = stream.next()) {
+  while (const audit::CycleSnapshot* snapshot = stream->next()) {
     const audit::ReplayDiff diff = audit::replay(*snapshot);
     if (diff.drifted) ++drifted;
     if (verbose || diff.drifted) {
@@ -719,9 +689,9 @@ int cmd_replay(const Args& args) {
     }
     ++cycles;
   }
-  if (!stream.report_damage() && cycles == 0) return 2;
+  if (!report_damage(path, *stream) && cycles == 0) return 2;
   if (verbose) {
-    for (const audit::FailsafeEvent& event : stream.events()) {
+    for (const audit::FailsafeEvent& event : stream->failsafe_events()) {
       std::printf("  ladder t=%.1fh: %s -> %s (%s): %s\n",
                   event.when.seconds_value() / 3600.0,
                   audit::failsafe_mode_name(event.from_mode),
@@ -730,8 +700,11 @@ int cmd_replay(const Args& args) {
                   event.reason.c_str());
     }
   }
-  std::printf("replayed %zu cycle(s): %zu drifted, %zu ladder event(s)\n",
-              cycles, drifted, stream.events().size());
+  std::printf(
+      "replayed %zu cycle(s): %zu drifted, %zu ladder event(s), %zu audit "
+      "event(s)\n",
+      cycles, drifted, stream->failsafe_events().size(),
+      stream->audit_events().size());
   return drifted == 0 ? 0 : 1;
 }
 
@@ -792,8 +765,9 @@ int cmd_whatif(const Args& args) {
     return 2;
   }
 
-  SnapshotStream stream(args.positionals.front());
-  if (!stream.opened()) return 2;
+  const std::string path = args.positionals.front();
+  auto stream = open_journal(path);
+  if (!stream) return 2;
 
   std::printf("what-if:");
   for (const audit::Mutation& m : mutations) {
@@ -808,7 +782,7 @@ int cmd_whatif(const Args& args) {
       unresolved_after;
   std::map<telemetry::InterfaceId, net::Bandwidth> peak_delta;
   bool interfaces_checked = false;
-  while (auto snapshot = stream.next()) {
+  while (const audit::CycleSnapshot* snapshot = stream->next()) {
     if (!interfaces_checked) {
       // A typo'd interface id would otherwise report a plausible-looking
       // zero delta; reject it against the recording instead.
@@ -852,7 +826,7 @@ int cmd_whatif(const Args& args) {
                   report.to_string().c_str());
     }
   }
-  if (!stream.report_damage() && cycles == 0) return 2;
+  if (!report_damage(path, *stream) && cycles == 0) return 2;
   if (cycles == 0) {
     std::fprintf(stderr, one_cycle ? "no such cycle in journal\n"
                                    : "journal holds no snapshots\n");
@@ -1251,27 +1225,25 @@ bmp::PerPeerHeader feed_peer_header(const bgp::Route& route) {
   return header;
 }
 
-/// Streams a cycle-snapshot journal into the daemon: per snapshot, the
-/// route-set delta as BMP announcements/withdrawals, then the demand
-/// table (an explicit zero for each prefix the snapshot no longer
-/// carries, since the daemon keeps its demand across windows) and a
-/// window-close marker over UDP, then a /metrics barrier.
-int feed_journal(long limit, std::vector<std::uint8_t> bytes,
-                 DaemonFeed& feed, std::uint16_t http_port) {
+/// Streams a cycle journal into the daemon: per snapshot (keyframes and
+/// deltas alike, rebuilt in full by CycleSnapshotReader), the route-set
+/// delta as BMP announcements/withdrawals, then the demand table (an
+/// explicit zero for each prefix the snapshot no longer carries, since
+/// the daemon keeps its demand across windows) and a window-close marker
+/// over UDP, then a /metrics barrier.
+int feed_journal(const std::string& path, long limit,
+                 std::vector<std::uint8_t> bytes, DaemonFeed& feed,
+                 std::uint16_t http_port) {
   using RouteKey = std::pair<std::uint32_t, net::Prefix>;  // (bgp_id, pfx)
   std::map<RouteKey, bgp::Route> announced;
   std::set<std::uint32_t> peers_up;
   std::set<net::Prefix> demand_sent;
 
-  audit::JournalReader reader(std::move(bytes));
+  audit::CycleSnapshotReader reader(std::move(bytes));
   long fed = 0;
-  while (auto record = reader.next()) {
-    if (limit >= 0 && fed >= limit) break;
-    const auto snapshot = audit::CycleSnapshot::deserialize(*record);
-    if (!snapshot) {
-      std::fprintf(stderr, "eftool feed: skipping undecodable snapshot\n");
-      continue;
-    }
+  while (limit < 0 || fed < limit) {
+    const audit::CycleSnapshot* snapshot = reader.next();
+    if (!snapshot) break;
 
     std::map<RouteKey, const bgp::Route*> current;
     for (const bgp::Route& route : snapshot->routes) {
@@ -1344,11 +1316,7 @@ int feed_journal(long limit, std::vector<std::uint8_t> bytes,
     ++fed;
   }
 
-  if (reader.stats().corrupt_skipped > 0 || reader.stats().truncated_tail) {
-    std::fprintf(stderr, "eftool feed: journal damage: %zu frame(s) skipped%s\n",
-                 reader.stats().corrupt_skipped,
-                 reader.stats().truncated_tail ? ", truncated tail" : "");
-  }
+  report_damage(path, reader);
   std::printf("fed %ld snapshot(s): %llu BMP bytes, %llu window(s)\n", fed,
               static_cast<unsigned long long>(feed.bmp_bytes),
               static_cast<unsigned long long>(feed.windows));
@@ -1474,7 +1442,7 @@ int cmd_feed(const Args& args) {
   // Dispatch on the journal file magic; anything else is tried as MRT.
   audit::JournalReader probe(*bytes);
   if (!probe.stats().bad_header) {
-    return feed_journal(limit, std::move(*bytes), feed, http_port);
+    return feed_journal(path, limit, std::move(*bytes), feed, http_port);
   }
   return feed_mrt(*bytes, feed, http_port);
 }
